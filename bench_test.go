@@ -296,7 +296,7 @@ func BenchmarkE11NetsimValidation(b *testing.B) {
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		eps := float64(snap.Counter("netsim.events")) / secs
 		b.ReportMetric(eps, "events/sec")
-		// Workers = 0 runs the legacy single-threaded engine: one core.
+		// Workers = 0 runs one worker: one core.
 		b.ReportMetric(eps, "events/sec/core")
 	}
 	// Deterministic tail-latency metrics from one fixed-seed run: unlike

@@ -2,20 +2,19 @@
 // DESIGN.md) and prints one table per experiment, pairing each paper bound
 // with the measured quantity. EXPERIMENTS.md is generated from its output.
 //
-// -trace-out installs a process-wide access recorder, so every discrete-event
-// simulation the experiments run (E11 validation, E13 failures, E15
-// queueing) captures per-access traces; they are written as one Chrome
-// trace-event JSON file loadable in Perfetto, with solver telemetry spans
-// on a separate track when -stats or -trace is also given. All simulations
-// derive their seeds from -seed (fixed default 1), so traces reproduce.
-// -trace-sample takes an integer stride or a preset ("fine" = 1 in 16,
-// "coarse" = 1 in 1024 for multi-million-access runs).
+// -trace-out attaches an access recorder to the suite, so every
+// discrete-event simulation the experiments run (E11 validation, E15
+// queueing, E19–E21) captures per-access traces; they are written as
+// one Chrome trace-event JSON file loadable in Perfetto, with solver
+// telemetry spans on a separate track when -stats or -trace is also given.
+// All simulations derive their seeds from -seed (fixed default 1), so
+// traces reproduce. -trace-sample takes a 1-in-k sampling rate or a preset
+// ("fine" = 1 in 16, "coarse" = 1 in 1024 for multi-million-access runs).
 //
-// -sim-workers threads the sharded deterministic simulator engine through
-// the suite: 0 (default) keeps the legacy sequential engine byte-identical
-// with previous releases; N >= 1 produces output that is bitwise identical
-// for every N (same seed + any worker count => identical stats and
-// traces), so results are comparable across machines of different widths.
+// -sim-workers sets the simulator's worker shards for the suite (0 runs
+// one worker); the output is bitwise identical for every N (same seed +
+// any worker count => identical stats and traces), so results are
+// comparable across machines of different widths.
 //
 // Usage:
 //
@@ -31,8 +30,8 @@
 // -metrics-hold keeps the endpoint up after the run so short runs can
 // still be scraped.
 //
-// -heat installs a process-wide workload heat sketch, so every simulated
-// access across all experiments is folded into per-client/per-node totals
+// -heat attaches a workload heat sketch to the suite, so every simulated
+// access across the experiments is folded into per-client/per-node totals
 // and EWMA rates; a drift/heavy-hitter report (against uniform demand —
 // the suite's experiments mostly run unweighted mixes) is printed to
 // stderr and published into the telemetry snapshot as heat.* gauges.
@@ -71,18 +70,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	only := fs.String("only", "", "run a single experiment by id (e.g. E7)")
 	traceFile := fs.String("trace", "", "write a JSONL telemetry trace (solver spans and counters) to this file")
 	traceOut := fs.String("trace-out", "", "write per-access simulation traces as Chrome trace-event JSON (Perfetto) to this file")
-	traceSample := fs.String("trace-sample", "1", "with -trace-out: record every k-th access only, or a preset: fine (1 in 16), coarse (1 in 1024)")
+	traceSample := fs.String("trace-sample", "1", "with -trace-out: record a deterministic 1-in-k sample of the accesses, or a preset: fine (1 in 16), coarse (1 in 1024)")
 	timeseries := fs.Float64("timeseries", 0, "with -trace-out: sample simulator gauges every this many virtual-time units")
 	stats := fs.Bool("stats", false, "print a telemetry summary table to stderr")
 	metricsAddr := fs.String("metrics-addr", "", "serve live metrics (Prometheus /metrics, JSON /metrics.json) on this address while running")
 	metricsHold := fs.Duration("metrics-hold", 0, "with -metrics-addr: keep serving this long after the experiments finish")
-	heatOn := fs.Bool("heat", false, "fold every simulated access into a process-wide workload heat sketch and print a drift report to stderr")
+	heatOn := fs.Bool("heat", false, "fold every simulated access into a workload heat sketch and print a drift report to stderr")
 	driftThreshold := fs.Float64("drift-threshold", 0, "with -heat: exit nonzero if the cumulative drift TV vs uniform demand exceeds this")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file")
 	scaleNodes := fs.Int("scale-nodes", 0, "append an E18 row with this many tree nodes (e.g. 100000 for the headline run)")
 	scaleClients := fs.Int("scale-clients", 0, "append an E18 row with this many raw clients (e.g. 1000000)")
-	simWorkers := fs.Int("sim-workers", 0, "simulator worker shards for the experiment suite; 0 = legacy sequential engine, N >= 1 = deterministic sharded engine (identical output for every N)")
+	simWorkers := fs.Int("sim-workers", 0, "simulator worker shards for the experiment suite; 0 = one worker (identical output for every N)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -165,13 +164,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	s := &eval.Suite{Seed: *seed, Quick: *quick, ScaleNodes: *scaleNodes, ScaleClients: *scaleClients, SimWorkers: *simWorkers}
 	if *traceOut != "" {
 		rec := qp.NewSimRecorder(0, sampleN, *timeseries)
-		qp.SetDefaultSimRecorder(rec)
+		s.Recorder = rec
 		// Registered after the telemetry defer so it runs first (LIFO),
 		// while the collector is still installed and Snapshot() works.
 		defer func() {
-			qp.SetDefaultSimRecorder(nil)
 			t := &qp.ChromeTrace{}
 			rec.AppendChromeTrace(t)
 			if snap := qp.Snapshot(); snap != nil {
@@ -195,11 +194,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var ht *qp.HeatSketch
 	if *heatOn {
 		ht = qp.NewHeatSketch(qp.HeatOptions{})
-		qp.SetDefaultHeat(ht)
-		defer qp.SetDefaultHeat(nil)
+		s.Heat = ht
 	}
 
-	s := &eval.Suite{Seed: *seed, Quick: *quick, ScaleNodes: *scaleNodes, ScaleClients: *scaleClients, SimWorkers: *simWorkers}
 	ran := 0
 	for _, e := range eval.Experiments() {
 		if *only != "" && e.ID != *only {

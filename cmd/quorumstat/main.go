@@ -15,17 +15,17 @@
 // written as Chrome trace-event JSON loadable in Perfetto
 // (ui.perfetto.dev) or chrome://tracing, together with a plain-text
 // per-node/per-quorum latency-percentile breakdown on stdout. -trace-sample
-// thins the capture to every k-th access, or takes a preset: "fine" (1 in
-// 16) for per-access diagnosis, "coarse" (1 in 1024) to keep exports of
+// thins the capture to a deterministic 1-in-k sample of the accesses, or
+// takes a preset: "fine" (1 in 16) for per-access diagnosis, "coarse" (1
+// in 1024) to keep exports of
 // multi-million-access runs small; -timeseries adds gauge counter
 // tracks sampled at the given virtual-time interval. Runs are seeded
 // (-seed, default 1), so traces are reproducible.
 //
-// -sim-workers selects the simulator engine: 0 (the default) is the
-// legacy sequential engine, byte-identical with previous releases; N >= 1
-// runs the sharded deterministic engine, whose output is bitwise
-// identical for every N — same seed + any worker count => identical
-// stats, traces and time series, merged in canonical order.
+// -sim-workers sets the simulator's worker shards (0, the default, runs
+// one worker); the output is bitwise identical for every N — same seed +
+// any worker count => identical stats, traces and time series, merged in
+// canonical order.
 //
 // With -slo the simulated accesses are additionally folded into rolling
 // virtual-time windows (span -slo-window) tracking p50/p99/p99.9 access
@@ -86,9 +86,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	clients := fs.Int("clients", 0, "with -sim: synthesize this many weighted clients, aggregate them into per-node demand rates, and weight placement + simulation by them")
 	landmarks := fs.Int("landmarks", 0, "with -sim: also build a k-landmark sparse metric of the sim network and report its max sampled stretch")
 	seed := fs.Int64("seed", 1, "random seed for -sim (fixed default keeps traces reproducible)")
-	simWorkers := fs.Int("sim-workers", 0, "with -sim: simulator worker shards; 0 = legacy sequential engine, N >= 1 = deterministic sharded engine (identical output for every N)")
+	simWorkers := fs.Int("sim-workers", 0, "with -sim: simulator worker shards; 0 = one worker (identical output for every N)")
 	traceOut := fs.String("trace-out", "", "with -sim: write per-access traces as Chrome trace-event JSON (Perfetto) to this file")
-	traceSample := fs.String("trace-sample", "1", "with -trace-out: record every k-th access only, or a preset: fine (1 in 16), coarse (1 in 1024)")
+	traceSample := fs.String("trace-sample", "1", "with -trace-out: record a deterministic 1-in-k sample of the accesses, or a preset: fine (1 in 16), coarse (1 in 1024)")
 	timeseries := fs.Float64("timeseries", 0, "with -trace-out: sample gauge counters every this many virtual-time units")
 	sloSpec := fs.String("slo", "", "with -sim: windowed SLO targets, e.g. p99=4,p999=6,skew=2.5 (exit nonzero on violation)")
 	sloWindow := fs.Float64("slo-window", 25, "with -slo: SLO window span in virtual-time units")

@@ -3,7 +3,11 @@ package eval
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"quorumplace/internal/heat"
+	"quorumplace/internal/netsim"
 )
 
 func TestTableRender(t *testing.T) {
@@ -254,6 +258,64 @@ func TestTableMarkdown(t *testing.T) {
 	for _, want := range []string{"### T — demo", "| a | b |", "| --- | --- |", `x\|y`, "*note: n1*"} {
 		if !strings.Contains(md, want) {
 			t.Fatalf("markdown missing %q:\n%s", want, md)
+		}
+	}
+}
+
+// TestConcurrentSuitesKeepTheirTelemetry runs two suites at once, each
+// with its own recorder and heat sketch, and checks that each sketch
+// counts exactly its own suite's simulated accesses: the recorder and the
+// sketch travel with the suite, so nothing routes one suite's
+// simulations into the other's telemetry.
+func TestConcurrentSuitesKeepTheirTelemetry(t *testing.T) {
+	experiments := map[string]func(*Suite) (*Table, error){
+		"E11": (*Suite).E11Netsim,
+		"E15": (*Suite).E15Queueing,
+	}
+	newSuite := func() *Suite {
+		return &Suite{
+			Seed: 1, Quick: true,
+			Recorder: netsim.NewRecorder(16, 1, 0),
+			Heat:     heat.New(heat.Options{}),
+		}
+	}
+	// Each experiment alone: every access reaches both sinks, since the
+	// recorder traces every access and counts the ones its ring evicts.
+	want := map[string]int64{}
+	for id, run := range experiments {
+		s := newSuite()
+		if _, err := run(s); err != nil {
+			t.Fatal(err)
+		}
+		want[id] = s.Heat.Accesses()
+		if got := s.Recorder.Recorded(); got != want[id] {
+			t.Fatalf("%s alone: recorder saw %d accesses, sketch %d", id, got, want[id])
+		}
+	}
+	if want["E11"] == 0 || want["E15"] == 0 || want["E11"] == want["E15"] {
+		t.Fatalf("solo access counts %v cannot tell the suites apart", want)
+	}
+
+	suites := map[string]*Suite{}
+	var wg sync.WaitGroup
+	for id, run := range experiments {
+		s := newSuite()
+		suites[id] = s
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := run(s); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for id, s := range suites {
+		if got := s.Heat.Accesses(); got != want[id] {
+			t.Errorf("%s: sketch counted %d accesses, want its own %d", id, got, want[id])
+		}
+		if got := s.Recorder.Recorded(); got != want[id] {
+			t.Errorf("%s: recorder traced %d accesses, want its own %d", id, got, want[id])
 		}
 	}
 }

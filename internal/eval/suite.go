@@ -7,6 +7,8 @@ import (
 
 	"quorumplace/internal/exact"
 	"quorumplace/internal/graph"
+	"quorumplace/internal/heat"
+	"quorumplace/internal/netsim"
 	"quorumplace/internal/placement"
 	"quorumplace/internal/quorum"
 	"quorumplace/internal/sched"
@@ -25,11 +27,17 @@ type Suite struct {
 	ScaleNodes   int
 	ScaleClients int
 	// SimWorkers is passed to every discrete-event simulation the
-	// experiments run (netsim Config.Workers): 0 keeps the legacy
-	// sequential engine byte-identical with previous releases; W >= 1 runs
-	// the sharded deterministic engine, whose output is bitwise identical
-	// for every W.
+	// experiments run (netsim Config.Workers): 0 runs one worker, and the
+	// output is bitwise identical for every worker count.
 	SimWorkers int
+	// Recorder, when non-nil, is attached to every discrete-event
+	// simulation the experiments run (netsim Config.Recorder), so one
+	// suite's access traces land in one recorder.
+	Recorder *netsim.Recorder
+	// Heat, when non-nil, is attached to every simulation that does not
+	// feed a sketch of its own (netsim Config.Heat; E19 and E21 keep
+	// theirs), folding the suite's simulated accesses into one sketch.
+	Heat *heat.Sketch
 }
 
 // trials returns quick or full trial counts.

@@ -459,6 +459,8 @@ func (s *Suite) E11Netsim() (*Table, error) {
 				Mode:              mode,
 				AccessesPerClient: accesses,
 				Seed:              s.Seed + 1100,
+				Recorder:          s.Recorder,
+				Heat:              s.Heat,
 				Workers:           s.SimWorkers,
 			})
 			if err != nil {

@@ -267,6 +267,7 @@ func (s *Suite) E15Queueing() (*Table, error) {
 				Instance: ins, Placement: c.pl,
 				ArrivalRate: rate, ServiceMean: 1,
 				AccessesPerClient: accesses, Seed: s.Seed + 1500,
+				Recorder: s.Recorder, Heat: s.Heat,
 				Workers: s.SimWorkers,
 			})
 			if err != nil {

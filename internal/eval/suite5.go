@@ -102,6 +102,7 @@ func (s *Suite) E19HeatDrift() (*Table, error) {
 			Mode:              netsim.Parallel,
 			AccessesPerClient: apc,
 			Seed:              s.Seed + 1900 + int64(k),
+			Recorder:          s.Recorder,
 			Heat:              ht,
 			Workers:           s.SimWorkers,
 		})
@@ -211,6 +212,8 @@ func (s *Suite) E20FlashCrowd() (*Table, error) {
 			Mode:              netsim.Parallel,
 			AccessesPerClient: apc,
 			Seed:              s.Seed + 2000 + int64(k),
+			Recorder:          s.Recorder,
+			Heat:              s.Heat,
 			Workers:           workers,
 		}
 		par, err := netsim.Run(cfg)

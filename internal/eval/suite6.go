@@ -99,6 +99,7 @@ func (p *e21Pipeline) e21Step(s *Suite, k int, alpha float64, apc int) (daemon.T
 		Mode:              netsim.Parallel,
 		AccessesPerClient: apc,
 		Seed:              s.Seed + 2100 + int64(k),
+		Recorder:          s.Recorder,
 		Heat:              ht,
 		Workers:           s.SimWorkers,
 	})

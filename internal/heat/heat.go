@@ -8,9 +8,9 @@
 // (internal/agg), so a placement goes stale exactly as fast as the demand
 // drifts — heat measures that staleness while the placement is serving.
 //
-// Today the stream comes from internal/netsim (Config.Heat or
-// netsim.SetDefaultHeat); the future quorumd ingestion path feeds the same
-// Observe call from real access logs.
+// Today the stream comes from internal/netsim (the simulator configs'
+// Heat field); the future quorumd ingestion path feeds the same Observe
+// call from real access logs.
 //
 // # Determinism and merge contract
 //
@@ -62,8 +62,7 @@ type epochCell struct {
 }
 
 // Sketch accumulates an access stream into mergeable workload sketches.
-// It is safe for concurrent use; a process-wide default can be installed
-// with netsim.SetDefaultHeat the way SetDefaultRecorder installs tracing.
+// It is safe for concurrent use.
 type Sketch struct {
 	epochLen float64
 	halfLife float64

@@ -8,10 +8,9 @@ import (
 	"quorumplace/internal/placement"
 )
 
-// Differential tests for the allocation overhaul: attaching a recorder (and
-// saturating its ring so the probe-slice free list is exercised) must not
-// change a single simulator statistic, because tracing never consumes the
-// simulation RNG and the arena/heap rewrites preserved event order exactly.
+// Differential tests for tracing: attaching a recorder (and saturating its
+// ring, so most traces are evicted) must not change a single simulator
+// statistic, because tracing never consumes the simulation RNG.
 
 // queueCfg is the shared base configuration; accesses are numerous enough to
 // wrap a capacity-16 ring many times over.
@@ -31,7 +30,7 @@ func TestQueueingRecorderDoesNotPerturbStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Saturated ring: every access traced, ring holds 16 of 2700, so almost
-	// every add recycles a probe slice through the free list.
+	// every add evicts an older trace.
 	rec := NewRecorder(16, 1, 0)
 	traced, err := RunQueueing(func() QueueConfig {
 		c := queueCfg(ins, pl)
@@ -45,7 +44,7 @@ func TestQueueingRecorderDoesNotPerturbStats(t *testing.T) {
 		t.Fatalf("tracing perturbed queueing stats:\n  base   %+v\n  traced %+v", base, traced)
 	}
 	if rec.Dropped() == 0 {
-		t.Fatal("ring never overwrote; test is not exercising probe recycling")
+		t.Fatal("ring never overwrote; test is not exercising eviction")
 	}
 
 	// Determinism: the same seed with a fresh recorder reproduces exactly.
@@ -105,7 +104,7 @@ func TestFailuresRecorderDoesNotPerturbStats(t *testing.T) {
 
 // TestTracesSurviveProbeRecycling: Traces() hands out deep copies, so a
 // snapshot taken from a saturated ring must stay intact while later runs
-// recycle the ring's probe memory underneath it.
+// overwrite every ring entry underneath it.
 func TestTracesSurviveProbeRecycling(t *testing.T) {
 	ins, pl := buildInstance(t)
 	rec := NewRecorder(16, 1, 0)
@@ -120,8 +119,7 @@ func TestTracesSurviveProbeRecycling(t *testing.T) {
 	}
 	before := fmt.Sprintf("%+v", snap)
 
-	// Second run on the same recorder overwrites the whole ring and reuses
-	// the recycled probe arrays.
+	// Second run on the same recorder overwrites the whole ring.
 	cfg.Seed = 43
 	if _, err := RunQueueing(cfg); err != nil {
 		t.Fatal(err)

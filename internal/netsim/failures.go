@@ -2,10 +2,8 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"quorumplace/internal/heat"
-	"quorumplace/internal/obs"
 	"quorumplace/internal/placement"
 )
 
@@ -37,23 +35,22 @@ type FailureConfig struct {
 	RetryPenalty      float64
 	AccessesPerClient int
 	Seed              int64
-	// Recorder, when non-nil, captures per-access traces; probes of failed
-	// attempts carry Failed=true and the access records its retry count.
-	// Nil falls back to the SetDefaultRecorder recorder. Accesses are laid
-	// out back-to-back per client on the virtual timeline, processed in the
-	// same global completion order as Run; with NodeFailureProb = 0 and
-	// MaxRetries = 0 the run consumes randomness identically to Run and
-	// reproduces its per-access latencies and traces exactly.
+	// Recorder, when non-nil, captures per-access traces (no time series);
+	// probes of failed attempts carry Failed=true and the access records
+	// its retry count. Nil turns tracing off. Accesses are laid out
+	// back-to-back per client on the virtual timeline and run on the same
+	// propagation worker as Run; with NodeFailureProb = 0 and MaxRetries =
+	// 0 the run consumes randomness identically to Run and reproduces its
+	// per-access latencies and traces exactly.
 	Recorder *Recorder
 	// Heat, when non-nil, folds every access into the workload sketch;
 	// nodes probed by failed attempts count as messages (the load landed).
-	// Nil falls back to the SetDefaultHeat sketch.
+	// Nil turns observation off.
 	Heat *heat.Sketch
-	// Workers selects the engine, with the same contract as
-	// Config.Workers: 0 keeps the legacy single-stream engine
-	// byte-identical; W ≥ 1 runs the sharded engine, whose output is
-	// bitwise invariant over W (crash states are drawn from per-client
-	// streams instead of the shared stream).
+	// Workers is the number of worker shards, with the same contract as
+	// Config.Workers: 0 runs one worker, and the output is bitwise
+	// invariant over the count (crash states are drawn from per-client
+	// streams).
 	Workers int
 }
 
@@ -71,14 +68,8 @@ type FailureStats struct {
 // RunWithFailures executes the failure-injection simulation.
 func RunWithFailures(cfg FailureConfig) (*FailureStats, error) {
 	ins := cfg.Instance
-	if ins == nil {
-		return nil, fmt.Errorf("netsim: nil instance")
-	}
-	if err := ins.Validate(cfg.Placement); err != nil {
-		return nil, fmt.Errorf("netsim: %w", err)
-	}
-	if cfg.AccessesPerClient <= 0 {
-		return nil, fmt.Errorf("netsim: AccessesPerClient = %d, want > 0", cfg.AccessesPerClient)
+	if err := validateRun(ins, cfg.Placement, cfg.AccessesPerClient, cfg.Workers); err != nil {
+		return nil, err
 	}
 	if cfg.NodeFailureProb < 0 || cfg.NodeFailureProb > 1 {
 		return nil, fmt.Errorf("netsim: NodeFailureProb = %v outside [0,1]", cfg.NodeFailureProb)
@@ -86,239 +77,24 @@ func RunWithFailures(cfg FailureConfig) (*FailureStats, error) {
 	if cfg.MaxRetries < 0 || cfg.RetryPenalty < 0 {
 		return nil, fmt.Errorf("netsim: negative retry settings")
 	}
-	if err := validateWorkers(cfg.Workers); err != nil {
+	ws, _, latencySum, err := propagate(&cfg, 0, true)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Workers > 0 {
-		return runFailuresSharded(cfg)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := ins.M.N()
-	nQ := ins.Sys.NumQuorums()
-	// Same rate-weighted access apportionment as Run, so the failure-free
-	// configuration keeps reproducing Run trace-for-trace under rates.
-	var counts []int
-	if ins.Rates != nil {
-		counts = clientAccessCounts(ins.Rates, n, cfg.AccessesPerClient)
-	}
-
-	cdf := make([]float64, nQ)
-	acc := 0.0
-	for q := 0; q < nQ; q++ {
-		acc += ins.Strat.P(q)
-		cdf[q] = acc
-	}
-	sampleQuorum := func() int {
-		x := rng.Float64() * acc
-		lo, hi := 0, nQ-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cdf[mid] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
-	}
-
-	// With a zero failure probability every node is always alive; skipping
-	// the per-access resampling keeps the rng stream identical to Run's, so
-	// the failure-free configuration reproduces Run draw for draw.
-	alive := make([]bool, n)
-	allAlive := cfg.NodeFailureProb == 0
-	if allAlive {
-		for i := range alive {
-			alive[i] = true
-		}
-	}
 	stats := &FailureStats{}
-	var latencySum float64
-	var noLiveQuorumFirstAttempt int
-
-	sp := obs.Start("netsim.failures")
-	defer sp.End()
-	defer func() {
-		obs.Count("netsim.events", int64(stats.Accesses))
-		obs.Count("netsim.retries", int64(stats.Retries))
-	}()
-
-	rec := recorderFor(cfg.Recorder)
-	runID := 0
-	var traced int64
-	if rec != nil {
-		runID = rec.beginRun()
-		defer func() { obs.Count("netsim.traced_accesses", traced) }()
-	}
-	// SLO accounting charges every probed node (including the dead one that
-	// failed an attempt) to the window of the access's completion, and folds
-	// retries and aborts into the window burn rates.
-	slo := rec != nil && rec.sloEnabled()
-	ht := heatFor(cfg.Heat)
-	collectNodes := slo || ht != nil
-	var accNodes []int
-	if slo {
-		rec.sloSetNodes(runID, n)
-	}
-	if collectNodes {
-		accNodes = make([]int, 0, 16)
-	}
-	var lh *obs.LogHist
-	if obs.Enabled() {
-		lh = obs.NewLogHist()
-	}
-
-	// Accesses are processed on the same (completion time, seq) event queue
-	// as Run: each client's accesses run back-to-back, and the shared rng is
-	// consumed in global virtual-time order rather than client-major order.
-	var q eventQueue
-	seq := 0
-	for v := 0; v < n; v++ {
-		if counts != nil && counts[v] == 0 {
-			continue
-		}
-		q.push(event{at: 0, seq: seq, client: v, access: 0})
-		seq++
-	}
-	for len(q) > 0 {
-		e := q.pop()
-		v := e.client
-		row := ins.M.Row(v)
-		// Sample the crash state for this access epoch.
-		if !allAlive {
-			for i := range alive {
-				alive[i] = rng.Float64() >= cfg.NodeFailureProb
-			}
-		}
-		// Record whether any quorum is alive at all in this state
-		// (the quantity NodeFailureProbability predicts).
-		if !anyQuorumAlive(ins, cfg.Placement, alive) {
-			noLiveQuorumFirstAttempt++
-		}
-		stats.Accesses++
-		var tr *AccessTrace
-		if rec != nil && rec.shouldTrace() {
-			tr = &AccessTrace{Run: runID, Client: v, Mode: cfg.Mode, Start: e.at}
-			tr.Probes = rec.getProbes(0)
-		}
-		penalty := 0.0
-		elapsed := 0.0 // virtual time the access occupies on the client
-		success := false
-		accRetries := 0
-		accNodes = accNodes[:0]
-		for attempt := 0; attempt <= cfg.MaxRetries; attempt++ {
-			qi := sampleQuorum()
-			attemptStart := e.at + penalty
-			attemptProbes := 0
-			if tr != nil {
-				attemptProbes = len(tr.Probes)
-			}
-			ok := true
-			var latency float64
-			for _, u := range ins.Sys.Quorum(qi) {
-				node := cfg.Placement.Node(u)
-				if collectNodes {
-					accNodes = append(accNodes, node)
-				}
-				if !alive[node] {
-					if tr != nil {
-						// The failing probe is dispatched after the latency
-						// already accumulated in this attempt (Sequential
-						// probes go out one after another; Parallel probes
-						// all leave at the attempt start).
-						dispatch := attemptStart
-						if cfg.Mode == Sequential {
-							dispatch += latency
-						}
-						tr.Probes = append(tr.Probes, ProbeSpan{
-							Member: u, Node: node, Dispatch: dispatch,
-							Complete: dispatch, Failed: true,
-						})
-					}
-					ok = false
-					break
-				}
-				d := row[node]
-				if tr != nil {
-					dispatch := attemptStart
-					if cfg.Mode == Sequential {
-						dispatch += latency
-					}
-					tr.Probes = append(tr.Probes, ProbeSpan{
-						Member: u, Node: node,
-						Dispatch: dispatch, NetDelay: d, Complete: dispatch + d,
-					})
-				}
-				if cfg.Mode == Parallel {
-					if d > latency {
-						latency = d
-					}
-				} else {
-					latency += d
-				}
-			}
-			if ok {
-				stats.Succeeded++
-				latencySum += latency + penalty
-				success = true
-				elapsed = latency + penalty
-				if tr != nil {
-					tr.Quorum = qi
-					tr.Attempts = attempt
-					tr.Latency = latency + penalty
-					tr.End = tr.Start + tr.Latency
-					markStragglerIn(cfg.Mode, tr.Probes[attemptProbes:])
-					rec.add(*tr)
-					traced++
-				}
-				break
-			}
-			// Every failed attempt is charged its timeout, including the
-			// final attempt of an access that exhausts the retry budget.
-			penalty += cfg.RetryPenalty
-			if attempt < cfg.MaxRetries {
-				stats.Retries++
-				accRetries++
-			}
-		}
-		if !success {
-			stats.FailedOutright++
-			elapsed = penalty
-			if tr != nil {
-				tr.Attempts = cfg.MaxRetries + 1
-				tr.Aborted = true
-				tr.Latency = penalty
-				tr.End = tr.Start + penalty
-				rec.add(*tr)
-				traced++
-			}
-		}
-		if lh != nil && success {
-			lh.Observe(elapsed)
-		}
-		if slo {
-			rec.sloAccess(runID, e.at+elapsed, elapsed, int64(accRetries), !success, accNodes)
-		}
-		if ht != nil {
-			ht.Observe(e.at, v, accNodes)
-		}
-		limit := cfg.AccessesPerClient
-		if counts != nil {
-			limit = counts[v]
-		}
-		if e.access+1 < limit {
-			q.push(event{at: e.at + elapsed, seq: seq, client: v, access: e.access + 1})
-			seq++
-		}
+	var noLive int
+	for _, w := range ws {
+		stats.Accesses += w.accesses
+		stats.Succeeded += w.succeeded
+		stats.FailedOutright += w.aborted
+		stats.Retries += int(w.retries)
+		noLive += w.noLive
 	}
 	stats.SuccessRate = float64(stats.Succeeded) / float64(stats.Accesses)
 	if stats.Succeeded > 0 {
 		stats.AvgLatency = latencySum / float64(stats.Succeeded)
 	}
-	stats.EmpiricalUnavail = float64(noLiveQuorumFirstAttempt) / float64(stats.Accesses)
-	if lh != nil {
-		obs.MergeHist("netsim.access_latency", lh)
-	}
+	stats.EmpiricalUnavail = float64(noLive) / float64(stats.Accesses)
 	return stats, nil
 }
 

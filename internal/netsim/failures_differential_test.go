@@ -14,9 +14,9 @@ import (
 // TestFailureFreeMatchesRunExactly pins RunWithFailures with
 // NodeFailureProb=0, MaxRetries=0 to the plain simulator: same seed, same
 // instance, identical per-access latencies and identical traces, in both
-// access modes. The failure path processes accesses on the same event queue
-// as Run and skips alive-state sampling when the failure probability is
-// zero, so the two runs consume the rng draw for draw.
+// access modes. Both simulators run on the same propagation worker, which
+// skips alive-state sampling when the failure probability is zero, so the
+// two runs consume the rng draw for draw.
 func TestFailureFreeMatchesRunExactly(t *testing.T) {
 	ins, pl := buildInstance(t)
 	for _, mode := range []Mode{Parallel, Sequential} {

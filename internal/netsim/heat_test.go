@@ -91,32 +91,6 @@ func TestHeatRatedRun(t *testing.T) {
 	}
 }
 
-// TestHeatDefaultSketch exercises the SetDefaultHeat fallback and its
-// precedence below an explicit Config.Heat.
-func TestHeatDefaultSketch(t *testing.T) {
-	ins, p := buildInstance(t)
-	def := heat.New(heat.Options{})
-	SetDefaultHeat(def)
-	defer SetDefaultHeat(nil)
-	if DefaultHeat() != def {
-		t.Fatal("default sketch not installed")
-	}
-	if _, err := Run(Config{Instance: ins, Placement: p, AccessesPerClient: 5, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if def.Accesses() != 45 {
-		t.Fatalf("default sketch saw %d accesses, want 45", def.Accesses())
-	}
-	// An explicit sketch wins over the default.
-	own := heat.New(heat.Options{})
-	if _, err := Run(Config{Instance: ins, Placement: p, AccessesPerClient: 5, Seed: 1, Heat: own}); err != nil {
-		t.Fatal(err)
-	}
-	if def.Accesses() != 45 || own.Accesses() != 45 {
-		t.Fatalf("default %d own %d, want 45 each", def.Accesses(), own.Accesses())
-	}
-}
-
 // TestHeatAllSimulators checks the failure and queueing paths feed the
 // sketch with per-simulator message semantics.
 func TestHeatAllSimulators(t *testing.T) {

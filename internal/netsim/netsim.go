@@ -19,11 +19,9 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"quorumplace/internal/heat"
-	"quorumplace/internal/obs"
 	"quorumplace/internal/placement"
 )
 
@@ -64,25 +62,19 @@ type Config struct {
 	InterAccessTime float64
 	Seed            int64
 	// Recorder, when non-nil, captures per-access traces and time-series
-	// samples for this run. When nil, the run falls back to the recorder
-	// installed with SetDefaultRecorder, if any; with neither, tracing is
-	// off and costs one nil check per access.
+	// samples for this run; nil turns tracing off at one nil check per
+	// access.
 	Recorder *Recorder
 	// Heat, when non-nil, folds every access into the workload sketch
 	// (per-client issue counts and per-node message hits, keyed by the
-	// virtual-time epoch of the access's issue). Nil falls back to the
-	// SetDefaultHeat sketch; with neither, observation is off at one nil
-	// check per access.
+	// virtual-time epoch of the access's issue); nil turns observation off
+	// at one nil check per access.
 	Heat *heat.Sketch
-	// Workers selects the engine. 0 (the default) runs the legacy
-	// single-threaded engine, byte-identical to previous releases. Any
-	// W ≥ 1 runs the sharded engine (parallel.go): clients are
-	// partitioned over W event wheels and results merge in canonical
-	// order, so for a fixed Seed every W ≥ 1 produces bitwise-identical
-	// Stats, traces, SLO windows, time-series samples, and heat sketches
-	// (Workers = 1 is the sharded engine's sequential reference; it
-	// differs from Workers = 0 only in RNG schedule, not in
-	// distribution). Negative values are an error.
+	// Workers is the number of worker shards the clients are partitioned
+	// over (engine.go); 0 runs one worker, like 1. Results merge in
+	// canonical order, so for a fixed Seed every value produces
+	// bitwise-identical Stats, traces, SLO windows, time-series samples
+	// and heat sketches. Negative values are an error.
 	Workers int
 }
 
@@ -109,18 +101,7 @@ func (s *Stats) Percentile(q float64) float64 {
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("netsim: quantile %v outside [0,1]", q))
 	}
-	if len(s.latencies) == 0 {
-		return 0
-	}
-	sorted := s.sortedLatencies()
-	n := len(sorted)
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	if lo+1 >= n {
-		return sorted[n-1]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return quantileSorted(s.sortedLatencies(), q)
 }
 
 // sortedLatencies returns an ascending copy of the latency samples, sorted
@@ -188,7 +169,7 @@ func clientAccessCounts(rates []float64, n, perClient int) []int {
 	return counts
 }
 
-// event is a pending message delivery or access start in the event queue.
+// event is a pending access start in a propagation worker's queue.
 type event struct {
 	at             float64
 	seq            int // tie-breaker for determinism
@@ -242,210 +223,48 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
-// Run executes the simulation and returns aggregate statistics.
+// Run executes the simulation and returns aggregate statistics. It is the
+// propagation worker (propagate.go) with the failure model off: every node
+// alive, one attempt per access, and InterAccessTime between a client's
+// accesses.
 func Run(cfg Config) (*Stats, error) {
 	ins := cfg.Instance
-	if ins == nil {
-		return nil, fmt.Errorf("netsim: nil instance")
-	}
-	if err := ins.Validate(cfg.Placement); err != nil {
-		return nil, fmt.Errorf("netsim: %w", err)
-	}
-	if cfg.AccessesPerClient <= 0 {
-		return nil, fmt.Errorf("netsim: AccessesPerClient = %d, want > 0", cfg.AccessesPerClient)
+	if err := validateRun(ins, cfg.Placement, cfg.AccessesPerClient, cfg.Workers); err != nil {
+		return nil, err
 	}
 	if cfg.InterAccessTime < 0 {
 		return nil, fmt.Errorf("netsim: negative InterAccessTime %v", cfg.InterAccessTime)
 	}
-	if err := validateWorkers(cfg.Workers); err != nil {
+	ws, lat, sum, err := propagate(&FailureConfig{
+		Instance: ins, Placement: cfg.Placement, Mode: cfg.Mode,
+		AccessesPerClient: cfg.AccessesPerClient, Seed: cfg.Seed,
+		Recorder: cfg.Recorder, Heat: cfg.Heat, Workers: cfg.Workers,
+	}, cfg.InterAccessTime, false)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Workers > 0 {
-		return runSharded(cfg)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := ins.M.N()
-	nQ := ins.Sys.NumQuorums()
-	// counts stays nil for uniform (nil) rates: the default path pays no
-	// per-run allocation and every client issues cfg.AccessesPerClient.
-	var counts []int
-	if ins.Rates != nil {
-		counts = clientAccessCounts(ins.Rates, n, cfg.AccessesPerClient)
-	}
-
-	// Precompute the quorum sampling CDF.
-	cdf := make([]float64, nQ)
-	acc := 0.0
-	for q := 0; q < nQ; q++ {
-		acc += ins.Strat.P(q)
-		cdf[q] = acc
-	}
-	sample := func() int {
-		x := rng.Float64() * acc
-		return sort.SearchFloat64s(cdf, x)
-	}
-
 	stats := &Stats{
 		Mode:      cfg.Mode,
 		PerClient: make([]float64, n),
 		NodeHits:  make([]int64, n),
+		latencies: lat,
 	}
-	perClientCount := make([]int, n)
-
-	sp := obs.Start("netsim.run")
-	defer sp.End()
-	var events, messages int64
-	maxQueueDepth := 0
-	defer func() {
-		obs.Count("netsim.events", events)
-		obs.Count("netsim.messages", messages)
-		obs.GaugeMax("netsim.max_queue_depth", float64(maxQueueDepth))
-	}()
-
-	rec := recorderFor(cfg.Recorder)
-	var ts *tsState
-	runID := 0
-	var traced int64
-	if rec != nil {
-		runID = rec.beginRun()
-		ts = newTSState(rec, runID)
-		defer func() { obs.Count("netsim.traced_accesses", traced) }()
-	}
-	// Windowed SLO accounting folds every access into the window of its
-	// completion time; accNodes is a per-access scratch of the nodes its
-	// messages hit, shared by the SLO and heat paths and reused so neither
-	// allocates per access.
-	slo := rec != nil && rec.sloEnabled()
-	ht := heatFor(cfg.Heat)
-	collectNodes := slo || ht != nil
-	var accNodes []int
-	if slo {
-		rec.sloSetNodes(runID, n)
-	}
-	if collectNodes {
-		accNodes = make([]int, 0, 16)
-	}
-	// When telemetry is on, access latencies accumulate in a run-local
-	// log-linear histogram merged once at run end — one contention point per
-	// run instead of one per access.
-	var lh *obs.LogHist
-	if obs.Enabled() {
-		lh = obs.NewLogHist()
-	}
-
-	var q eventQueue
-	seq := 0
-	for v := 0; v < n; v++ {
-		if counts != nil && counts[v] == 0 {
-			continue
+	for _, w := range ws {
+		stats.Accesses += w.accesses
+		if w.clock > stats.Clock {
+			stats.Clock = w.clock
 		}
-		q.push(event{at: 0, seq: seq, client: v, access: 0})
-		seq++
-	}
-	for len(q) > 0 {
-		if len(q) > maxQueueDepth {
-			maxQueueDepth = len(q)
+		for v, h := range w.nodeHits {
+			stats.NodeHits[v] += h
 		}
-		e := q.pop()
-		events++
-		if ts != nil {
-			// Emit every time-series boundary crossed before this event; all
-			// previously processed events are ≤ each boundary, so the gauges
-			// are consistent at the sample instant.
-			ts.advance(e.at, func(at float64, s *TSample) {
-				ts.done.popTo(at)
-				s.InFlight = len(ts.done)
-				s.Accesses = stats.Accesses
-				s.NodeHits = append([]int64(nil), stats.NodeHits...)
-			})
-		}
-		v := e.client
-		qi := sample()
-		if qi >= nQ {
-			qi = nQ - 1
-		}
-		var tr *AccessTrace
-		if rec != nil && rec.shouldTrace() {
-			tr = &AccessTrace{Run: runID, Client: v, Quorum: qi, Mode: cfg.Mode, Start: e.at}
-			tr.Probes = rec.getProbes(len(ins.Sys.Quorum(qi)))[:0]
-		}
-		row := ins.M.Row(v)
-		var latency float64
-		accNodes = accNodes[:0]
-		for _, u := range ins.Sys.Quorum(qi) {
-			node := cfg.Placement.Node(u)
-			d := row[node]
-			stats.NodeHits[node]++
-			messages++
-			if collectNodes {
-				accNodes = append(accNodes, node)
-			}
-			if tr != nil {
-				dispatch := e.at
-				if cfg.Mode == Sequential {
-					dispatch += latency
-				}
-				tr.Probes = append(tr.Probes, ProbeSpan{
-					Member: u, Node: node,
-					Dispatch: dispatch, NetDelay: d, Complete: dispatch + d,
-				})
-			}
-			switch cfg.Mode {
-			case Parallel:
-				if d > latency {
-					latency = d
-				}
-			case Sequential:
-				latency += d
+		for i, c := range w.perClientN {
+			if c > 0 {
+				stats.PerClient[w.lo+i] = w.perClient[i] / float64(c)
 			}
 		}
-		done := e.at + latency
-		if done > stats.Clock {
-			stats.Clock = done
-		}
-		stats.Accesses++
-		stats.AvgLatency += latency
-		stats.latencies = append(stats.latencies, latency)
-		stats.PerClient[v] += latency
-		perClientCount[v]++
-		if lh != nil {
-			lh.Observe(latency)
-		}
-		if slo {
-			rec.sloAccess(runID, done, latency, 0, false, accNodes)
-		}
-		if ht != nil {
-			ht.Observe(e.at, v, accNodes)
-		}
-		if tr != nil {
-			tr.End = done
-			tr.Latency = latency
-			markStraggler(tr)
-			rec.add(*tr)
-			traced++
-		}
-		if ts != nil {
-			ts.done.push(done)
-		}
-		limit := cfg.AccessesPerClient
-		if counts != nil {
-			limit = counts[v]
-		}
-		if e.access+1 < limit {
-			think := 0.0
-			if cfg.InterAccessTime > 0 {
-				think = rng.ExpFloat64() * cfg.InterAccessTime
-			}
-			q.push(event{at: done + think, seq: seq, client: v, access: e.access + 1})
-			seq++
-		}
 	}
-	stats.AvgLatency /= float64(stats.Accesses)
-	for v := 0; v < n; v++ {
-		if perClientCount[v] > 0 {
-			stats.PerClient[v] /= float64(perClientCount[v])
-		}
-	}
+	stats.AvgLatency = sum / float64(stats.Accesses)
 	stats.EmpiricalLoad = make([]float64, n)
 	totalAccesses := float64(stats.Accesses)
 	for v := 0; v < n; v++ {
@@ -453,9 +272,6 @@ func Run(cfg Config) (*Stats, error) {
 		// sampled analogue of load_f(v) = Σ_{u:f(u)=v} load(u). With
 		// uniform rates the denominator equals n·AccessesPerClient.
 		stats.EmpiricalLoad[v] = float64(stats.NodeHits[v]) / totalAccesses
-	}
-	if lh != nil {
-		obs.MergeHist("netsim.access_latency", lh)
 	}
 	return stats, nil
 }

@@ -12,11 +12,15 @@ import (
 	"quorumplace/internal/quorum"
 )
 
-// Differential tests for the sharded engines (parallel*.go): the output of
-// Workers = W must be bitwise identical for every W ≥ 1, with telemetry on
-// and off, trace for trace and sample for sample. Workers = 1 is the
-// sharded engine's sequential reference, so parallel == sequential within
-// the deterministic-schedule contract documented on Config.Workers.
+// Differential tests for the sharded engine (engine.go): the output of
+// every Workers value must be bitwise identical, with telemetry on and
+// off, trace for trace and sample for sample. Workers = 1 is the
+// sequential reference and Workers = 0 must run exactly like it, so
+// parallel == sequential within the contract documented on Config.Workers.
+
+// otherWorkers are the worker counts compared against the Workers = 1
+// reference.
+var otherWorkers = []int{0, 2, 3, 4, 5, 6, 7, 8}
 
 // shardedArtifacts is everything a sharded run externalizes: the stats
 // struct, and — when telemetry is on — the recorded traces, time-series
@@ -102,13 +106,13 @@ func TestShardedRunWorkerInvariance(t *testing.T) {
 		}
 		// Telemetry on: traces, series, SLO, heat, counters all pinned.
 		ref := runWithTelemetry(t, func(rec *Recorder, ht *heat.Sketch) interface{} { return run(1, rec, ht) })
-		for w := 2; w <= 8; w++ {
+		for _, w := range otherWorkers {
 			got := runWithTelemetry(t, func(rec *Recorder, ht *heat.Sketch) interface{} { return run(w, rec, ht) })
 			checkInvariant(t, "run/telemetry", ref, got, w)
 		}
 		// Telemetry off: the bare stats are still pinned.
 		bare := run(1, nil, nil)
-		for w := 2; w <= 8; w++ {
+		for _, w := range otherWorkers {
 			if got := run(w, nil, nil); !reflect.DeepEqual(bare, got) {
 				t.Errorf("run/bare: workers=%d stats differ from workers=1", w)
 			}
@@ -135,12 +139,12 @@ func TestShardedFailuresWorkerInvariance(t *testing.T) {
 	if st.Retries == 0 || st.FailedOutright == 0 {
 		t.Fatalf("test config exercises no retries/aborts: %+v", st)
 	}
-	for w := 2; w <= 8; w++ {
+	for _, w := range otherWorkers {
 		got := runWithTelemetry(t, func(rec *Recorder, ht *heat.Sketch) interface{} { return run(w, rec, ht) })
 		checkInvariant(t, "failures/telemetry", ref, got, w)
 	}
 	bare := run(1, nil, nil)
-	for w := 2; w <= 8; w++ {
+	for _, w := range otherWorkers {
 		if got := run(w, nil, nil); !reflect.DeepEqual(bare, got) {
 			t.Errorf("failures/bare: workers=%d stats differ from workers=1", w)
 		}
@@ -162,12 +166,12 @@ func TestShardedQueueingWorkerInvariance(t *testing.T) {
 		return stats
 	}
 	ref := runWithTelemetry(t, func(rec *Recorder, ht *heat.Sketch) interface{} { return run(1, rec, ht) })
-	for w := 2; w <= 8; w++ {
+	for _, w := range otherWorkers {
 		got := runWithTelemetry(t, func(rec *Recorder, ht *heat.Sketch) interface{} { return run(w, rec, ht) })
 		checkInvariant(t, "queueing/telemetry", ref, got, w)
 	}
 	bare := run(1, nil, nil)
-	for w := 2; w <= 8; w++ {
+	for _, w := range otherWorkers {
 		if got := run(w, nil, nil); !reflect.DeepEqual(bare, got) {
 			t.Errorf("queueing/bare: workers=%d stats differ from workers=1", w)
 		}
@@ -232,7 +236,7 @@ func TestShardedQueueingZeroLookaheadFallback(t *testing.T) {
 		t.Fatalf("lookahead = %v, want 0 (test topology broken)", L)
 	}
 	ref := run(1)
-	for w := 2; w <= 4; w++ {
+	for _, w := range []int{0, 2, 3, 4} {
 		if got := run(w); !reflect.DeepEqual(ref, got) {
 			t.Errorf("workers=%d differs from workers=1 under zero lookahead", w)
 		}
@@ -300,7 +304,7 @@ func TestShardedHeatMergeMatchesSequential(t *testing.T) {
 		return ht
 	}
 	ref := sketch(1)
-	for _, w := range []int{2, 4, 8} {
+	for _, w := range []int{0, 2, 4, 8} {
 		if !ref.Equal(sketch(w)) {
 			t.Errorf("workers=%d heat sketch differs from workers=1", w)
 		}
@@ -374,8 +378,8 @@ func TestShardedSLOReconciles(t *testing.T) {
 	}
 }
 
-// TestShardedRunMatchesAnalytic: the sharded schedule is new, so pin it to
-// the paper's analytic objective the same way the legacy engine is.
+// TestShardedRunMatchesAnalytic: a four-worker run matches the paper's
+// analytic objective, as the single-worker runs in netsim_test.go do.
 func TestShardedRunMatchesAnalytic(t *testing.T) {
 	ins, p := buildInstance(t)
 	want := ins.AvgMaxDelay(p)

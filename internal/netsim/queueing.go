@@ -2,7 +2,8 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
+	"sort"
 
 	"quorumplace/internal/heat"
 	"quorumplace/internal/obs"
@@ -25,6 +26,19 @@ import (
 // queues are index-linked lists over one shared message arena with a free
 // list, so enqueue/dequeue recycle arena slots instead of growing and
 // re-slicing per-node slices.
+//
+// Unlike the propagation-only simulators, queueing clients interact
+// through the node FIFOs, so the shards cannot run to completion
+// independently. Each shard owns a block of clients and the identically
+// indexed block of nodes; messages between a client and a node in
+// different shards become cross-shard events exchanged at barriers.
+// Workers repeatedly process the window [T, T+L) of virtual time, where T
+// is the minimum pending event time across shards and the lookahead L is
+// the minimum client↔hosting-node distance over cross-shard pairs: an
+// event processed at t ∈ [T, T+L) can only generate cross-shard events at
+// t + D ≥ t + L ≥ T + L, outside the window, so every shard already holds
+// all its events below T+L when the window opens and processes them in
+// canonical order.
 
 // QueueConfig describes a queueing simulation run.
 type QueueConfig struct {
@@ -41,19 +55,17 @@ type QueueConfig struct {
 	AccessesPerClient int
 	Seed              int64
 	// Recorder, when non-nil, captures per-access traces (with queue-wait
-	// and service-time probe spans) and time-series samples; nil falls back
-	// to the SetDefaultRecorder recorder.
+	// and service-time probe spans) and time-series samples; nil turns
+	// tracing off.
 	Recorder *Recorder
 	// Heat, when non-nil, folds every access into the workload sketch at
-	// its issue time (when the load lands on the node queues). Nil falls
-	// back to the SetDefaultHeat sketch.
+	// its issue time (when the load lands on the node queues); nil turns
+	// observation off.
 	Heat *heat.Sketch
-	// Workers selects the engine, with the same contract as
-	// Config.Workers: 0 keeps the legacy single-stream engine
-	// byte-identical; W ≥ 1 runs the conservative-window sharded engine
-	// (parallel_queueing.go), whose output is bitwise invariant over W.
-	// Relative to Workers = 0, the sharded schedule models response
-	// propagation as explicit events, so Clock also covers the final
+	// Workers is the number of worker shards, with the same contract as
+	// Config.Workers: 0 runs one worker, and the conservative-window
+	// output is bitwise invariant over the count. Responses propagate back
+	// to the client as explicit events, so Clock covers the final
 	// response's flight time.
 	Workers int
 }
@@ -67,39 +79,163 @@ type QueueStats struct {
 	Clock       float64
 }
 
-// queueEvent is an event in the queueing simulator.
-type queueEvent struct {
-	at   float64
-	seq  int
-	kind int // 0 = access issued, 1 = message arrives at node, 2 = service done
-	// access identity
+// pendingMsg is a message waiting in or being served by a node queue. Slots
+// live in one shared arena; next links them into per-node FIFO lists and,
+// when free, into the arena's free list.
+type pendingMsg struct {
 	client, access int
-	// message routing
-	node int
-	// probe slot within the traced access, -1 when untraced
-	slot int
+	arrivedAt      float64
+	slot           int // member slot within the access's quorum
+	next           int // next message in the node FIFO / free list, -1 = none
 }
 
-// queueEventHeap is a value-typed binary min-heap ordered by (at, seq). The
-// explicit sift loops avoid container/heap's per-operation interface boxing
-// (two heap-escaping allocations per event), which dominated the simulator's
-// allocation profile.
-type queueEventHeap []queueEvent
+// accessState tracks one in-flight access in a shard's dense (client,
+// access) state table.
+type accessState struct {
+	remaining int
+	issuedAt  float64
+	lastResp  float64
+	tr        *AccessTrace // non-nil when this access is traced
+}
 
-func (h queueEventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// RunQueueing executes the queueing simulation.
+func RunQueueing(cfg QueueConfig) (*QueueStats, error) {
+	ins := cfg.Instance
+	if err := validateRun(ins, cfg.Placement, cfg.AccessesPerClient, cfg.Workers); err != nil {
+		return nil, err
 	}
-	return h[i].seq < h[j].seq
+	if cfg.ArrivalRate <= 0 {
+		return nil, fmt.Errorf("netsim: ArrivalRate = %v, want > 0", cfg.ArrivalRate)
+	}
+	if cfg.ServiceMean < 0 {
+		return nil, fmt.Errorf("netsim: negative ServiceMean %v", cfg.ServiceMean)
+	}
+	n := ins.M.N()
+	serviceMean := make([]float64, n)
+	for v := 0; v < n; v++ {
+		if ins.Cap[v] > 0 {
+			serviceMean[v] = cfg.ServiceMean / ins.Cap[v]
+		}
+	}
+	W := clampWorkers(cfg.Workers, n)
+	L := math.Inf(1)
+	if W > 1 {
+		L = queueLookahead(&cfg, n, W)
+		if L <= 0 {
+			// A zero-distance cross-shard pair admits no safe window. Fall
+			// back to one shard: by partition independence the single-shard
+			// run produces the same bits as any windowed run would.
+			W = 1
+			L = math.Inf(1)
+		}
+	}
+
+	r := newSimRun("netsim.queueing", ins, cfg.Seed, cfg.Recorder, cfg.Heat)
+	shards := r.partition(W, true)
+	ws := make([]*queueWorker, W)
+	all := make([]worker, W)
+	for i, s := range shards {
+		w := &queueWorker{
+			shard: s, cfg: &cfg, W: W, serviceMean: serviceMean,
+			clientStream: make([]prng, s.hi-s.lo),
+			nodeStream:   make([]prng, s.hi-s.lo),
+			states:       make([]accessState, (s.hi-s.lo)*cfg.AccessesPerClient),
+			qHead:        make([]int, s.hi-s.lo),
+			qTail:        make([]int, s.hi-s.lo),
+			qLen:         make([]int, s.hi-s.lo),
+			busy:         make([]bool, s.hi-s.lo),
+			busyTime:     make([]float64, s.hi-s.lo),
+			waitPerNode:  make([]float64, s.hi-s.lo),
+			nodeHits:     make([]int64, n),
+			outbox:       make([][]pqEvent, W),
+		}
+		w.latBuf = make([]latRec, 0, len(w.states))
+		ws[i], all[i] = w, w
+	}
+	for _, w := range ws {
+		w.peers = ws
+	}
+	obs.Count("netsim.pdes_rounds", drive(all, L))
+	_, latencySum, lastAt, err := r.merge(all)
+	if err != nil {
+		return nil, err
+	}
+
+	stats := &QueueStats{Utilization: make([]float64, n), Clock: lastAt}
+	var msgCount int
+	for _, w := range ws {
+		stats.Accesses += w.accesses
+		msgCount += w.msgCount
+	}
+	// Per-node float accumulators fold in node index order — the same fold
+	// for every partition.
+	var waitSum float64
+	for v := 0; v < n; v++ {
+		w := ws[shardOfEntity(v, n, W)]
+		waitSum += w.waitPerNode[v-w.lo]
+	}
+	if stats.Accesses > 0 {
+		stats.AvgLatency = latencySum / float64(stats.Accesses)
+	}
+	if msgCount > 0 {
+		stats.AvgWait = waitSum / float64(msgCount)
+	}
+	if stats.Clock > 0 {
+		for v := 0; v < n; v++ {
+			w := ws[shardOfEntity(v, n, W)]
+			stats.Utilization[v] = w.busyTime[v-w.lo] / stats.Clock
+		}
+	}
+	return stats, nil
 }
 
-func (h *queueEventHeap) push(e queueEvent) {
+// pqEvent is an event of the queueing simulator. It has no
+// insertion-order seq: ties at equal virtual time break on the event
+// identity (kind, client, access, node, slot), which is a total order —
+// no two distinct events share all five — and is the same in every
+// execution, which is what makes the windowed runs bitwise-reproducible.
+// The response propagation back to the client (kind 3) is an explicit
+// event so it can cross shards, carrying the probe's queue-wait and
+// service time for the client-side trace.
+type pqEvent struct {
+	at        float64
+	wait, svc float64 // kind 3: queue wait and service of the answered message
+	kind      int     // 0 issue, 1 arrival, 2 service done, 3 response
+	client    int
+	access    int
+	node      int
+	slot      int // member slot within the access's quorum
+}
+
+func pqLess(a, b pqEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.kind != b.kind {
+		return a.kind < b.kind
+	}
+	if a.client != b.client {
+		return a.client < b.client
+	}
+	if a.access != b.access {
+		return a.access < b.access
+	}
+	if a.node != b.node {
+		return a.node < b.node
+	}
+	return a.slot < b.slot
+}
+
+// pqHeap is a value-typed binary min-heap over the canonical event order.
+type pqHeap []pqEvent
+
+func (h *pqHeap) push(e pqEvent) {
 	*h = append(*h, e)
 	q := *h
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !q.less(i, p) {
+		if !pqLess(q[i], q[p]) {
 			break
 		}
 		q[i], q[p] = q[p], q[i]
@@ -107,7 +243,7 @@ func (h *queueEventHeap) push(e queueEvent) {
 	}
 }
 
-func (h *queueEventHeap) pop() queueEvent {
+func (h *pqHeap) pop() pqEvent {
 	q := *h
 	top := q[0]
 	last := len(q) - 1
@@ -117,10 +253,10 @@ func (h *queueEventHeap) pop() queueEvent {
 	i := 0
 	for {
 		l, r, m := 2*i+1, 2*i+2, i
-		if l < last && q.less(l, m) {
+		if l < last && pqLess(q[l], q[m]) {
 			m = l
 		}
-		if r < last && q.less(r, m) {
+		if r < last && pqLess(q[r], q[m]) {
 			m = r
 		}
 		if m == i {
@@ -132,315 +268,313 @@ func (h *queueEventHeap) pop() queueEvent {
 	return top
 }
 
-// pendingMsg is a message waiting in or being served by a node queue. Slots
-// live in one shared arena; next links them into per-node FIFO lists and,
-// when free, into the arena's free list.
-type pendingMsg struct {
-	client, access int
-	arrivedAt      float64
-	slot           int // probe slot within the traced access, -1 when untraced
-	next           int // next message in the node FIFO / free list, -1 = none
-}
-
-// accessState tracks one in-flight access in the dense (client, access)
-// state table.
-type accessState struct {
-	remaining int
-	issuedAt  float64
-	lastResp  float64
-	tr        *AccessTrace // non-nil when this access is traced
-}
-
-// RunQueueing executes the queueing simulation.
-func RunQueueing(cfg QueueConfig) (*QueueStats, error) {
+// queueLookahead computes the conservative lookahead: the minimum
+// distance, in either direction, between a client and a quorum-hosting
+// node that live in different shards. Only hosting nodes receive or send
+// messages, so the scan is O(n·|hosting|), not O(n²).
+func queueLookahead(cfg *QueueConfig, n, W int) float64 {
 	ins := cfg.Instance
-	if ins == nil {
-		return nil, fmt.Errorf("netsim: nil instance")
+	hosting := make([]bool, n)
+	for u := 0; u < ins.Sys.Universe(); u++ {
+		hosting[cfg.Placement.Node(u)] = true
 	}
-	if err := ins.Validate(cfg.Placement); err != nil {
-		return nil, fmt.Errorf("netsim: %w", err)
-	}
-	if cfg.AccessesPerClient <= 0 {
-		return nil, fmt.Errorf("netsim: AccessesPerClient = %d, want > 0", cfg.AccessesPerClient)
-	}
-	if cfg.ArrivalRate <= 0 {
-		return nil, fmt.Errorf("netsim: ArrivalRate = %v, want > 0", cfg.ArrivalRate)
-	}
-	if cfg.ServiceMean < 0 {
-		return nil, fmt.Errorf("netsim: negative ServiceMean %v", cfg.ServiceMean)
-	}
-	if err := validateWorkers(cfg.Workers); err != nil {
-		return nil, err
-	}
-	if cfg.Workers > 0 {
-		return runQueueingSharded(cfg)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := ins.M.N()
-	nQ := ins.Sys.NumQuorums()
-
-	cdf := make([]float64, nQ)
-	acc := 0.0
-	for q := 0; q < nQ; q++ {
-		acc += ins.Strat.P(q)
-		cdf[q] = acc
-	}
-	sampleQuorum := func() int {
-		x := rng.Float64() * acc
-		lo, hi := 0, nQ-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cdf[mid] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
+	L := math.Inf(1)
+	for v := 0; v < n; v++ {
+		sv := shardOfEntity(v, n, W)
+		row := ins.M.Row(v)
+		for h := 0; h < n; h++ {
+			if !hosting[h] || shardOfEntity(h, n, W) == sv {
+				continue
+			}
+			if d := row[h]; d < L {
+				L = d
+			}
+			if d := ins.M.D(h, v); d < L {
+				L = d
 			}
 		}
-		return lo
 	}
-	serviceMean := make([]float64, n)
-	for v := 0; v < n; v++ {
-		if ins.Cap[v] > 0 {
-			serviceMean[v] = cfg.ServiceMean / ins.Cap[v]
-		}
-	}
+	return L
+}
 
-	// Dense per-access state, indexed client*AccessesPerClient + access.
-	states := make([]accessState, n*cfg.AccessesPerClient)
-	inFlight := 0
+// queueWorker is one shard of the windowed queueing engine, owning the
+// clients and nodes in [lo, hi).
+type queueWorker struct {
+	shard
+	cfg         *QueueConfig
+	W           int
+	serviceMean []float64
+	peers       []*queueWorker
 
-	// Per-node FIFO queues as index-linked lists over the msgs arena.
-	msgs := make([]pendingMsg, 0, 64)
-	freeMsg := -1
-	qHead := make([]int, n)
-	qTail := make([]int, n)
-	qLen := make([]int, n)
-	for v := 0; v < n; v++ {
-		qHead[v], qTail[v] = -1, -1
-	}
-	allocMsg := func(m pendingMsg) int {
-		if i := freeMsg; i >= 0 {
-			freeMsg = msgs[i].next
-			msgs[i] = m
-			return i
-		}
-		msgs = append(msgs, m)
-		return len(msgs) - 1
-	}
-	enqueue := func(v int, m pendingMsg) {
-		m.next = -1
-		i := allocMsg(m)
-		if qTail[v] < 0 {
-			qHead[v] = i
-		} else {
-			msgs[qTail[v]].next = i
-		}
-		qTail[v] = i
-		qLen[v]++
-	}
-	dequeue := func(v int) {
-		i := qHead[v]
-		qHead[v] = msgs[i].next
-		if qHead[v] < 0 {
-			qTail[v] = -1
-		}
-		qLen[v]--
-		msgs[i].next = freeMsg
-		freeMsg = i
-	}
+	h            pqHeap
+	clientStream []prng
+	nodeStream   []prng
+	states       []accessState // owned clients × AccessesPerClient
+	inFlight     int
+	accesses     int
+	events       int64
 
-	busy := make([]bool, n)
-	busyTime := make([]float64, n)
+	// Per-node FIFO state (owned node range only).
+	msgs         []pendingMsg
+	freeMsg      int
+	qHead, qTail []int
+	qLen         []int
+	busy         []bool
+	busyTime     []float64
+	waitPerNode  []float64
+	msgCount     int
+	maxNodeQueue int
+	nodeHits     []int64
 
-	stats := &QueueStats{Utilization: make([]float64, n)}
-	var latencySum, waitSum float64
-	var msgCount int
+	// outbox[d] buffers events destined for shard d, handed over at the
+	// next barrier.
+	outbox [][]pqEvent
+}
 
-	h := make(queueEventHeap, 0, n*cfg.AccessesPerClient)
-	seq := 0
-	push := func(e queueEvent) {
-		e.seq = seq
-		seq++
-		h.push(e)
+func (w *queueWorker) base() *shard { return &w.shard }
+
+func (w *queueWorker) flush() {
+	w.sh.Count("netsim.events", w.events)
+	w.sh.GaugeMax("netsim.max_queue_depth", float64(w.maxNodeQueue))
+}
+
+// owner returns the shard that owns an event: node events (arrival,
+// service) belong to the node's shard, client events (issue, response) to
+// the client's.
+func (w *queueWorker) owner(e *pqEvent) int {
+	if e.kind == 1 || e.kind == 2 {
+		return shardOfEntity(e.node, w.n, w.W)
 	}
-	// Schedule all access issue times up front (open loop).
-	for v := 0; v < n; v++ {
+	return shardOfEntity(e.client, w.n, w.W)
+}
+
+// send routes an event to its owning shard: the local heap, or the
+// outbox for delivery at the next barrier.
+func (w *queueWorker) send(e pqEvent) {
+	if d := w.owner(&e); d != w.id {
+		w.outbox[d] = append(w.outbox[d], e)
+		return
+	}
+	w.h.push(e)
+}
+
+// start precomputes the owned clients' Poisson issue schedules from their
+// private streams and initializes the node service streams.
+func (w *queueWorker) start() {
+	cfg := w.cfg
+	for i := range w.clientStream {
+		w.clientStream[i] = newPRNG(cfg.Seed, streamAccess, w.lo+i)
+	}
+	for i := range w.nodeStream {
+		w.nodeStream[i] = newPRNG(cfg.Seed, streamService, w.lo+i)
+	}
+	for v := w.lo; v < w.hi; v++ {
+		st := &w.clientStream[v-w.lo]
 		t := 0.0
 		for a := 0; a < cfg.AccessesPerClient; a++ {
-			t += rng.ExpFloat64() / cfg.ArrivalRate
-			push(queueEvent{at: t, kind: 0, client: v, access: a})
+			t += st.ExpFloat64() / cfg.ArrivalRate
+			w.h.push(pqEvent{at: t, kind: 0, client: v, access: a})
 		}
 	}
+	for v := w.lo; v < w.hi; v++ {
+		w.qHead[v-w.lo], w.qTail[v-w.lo] = -1, -1
+	}
+	w.freeMsg = -1
+}
 
-	rec := recorderFor(cfg.Recorder)
-	var ts *tsState
-	runID := 0
-	var traced int64
-	if rec != nil {
-		runID = rec.beginRun()
-		ts = newTSState(rec, runID)
-		defer func() { obs.Count("netsim.traced_accesses", traced) }()
+// ingest drains every peer's outbox row for this shard into the local
+// heap. Called inside a barrier phase: peers filled the rows during the
+// previous process phase and will not touch them again until after this
+// phase completes.
+func (w *queueWorker) ingest() {
+	for _, p := range w.peers {
+		if p == w {
+			continue
+		}
+		for _, e := range p.outbox[w.id] {
+			w.h.push(e)
+		}
 	}
-	var nodeHits []int64
-	if ts != nil {
-		nodeHits = make([]int64, n)
-	}
-	// SLO accounting: message hits are charged to the window of the issue
-	// time (that is when the load lands on the nodes), while the access
-	// itself folds into the window of its completion.
-	slo := rec != nil && rec.sloEnabled()
-	ht := heatFor(cfg.Heat)
-	collectNodes := slo || ht != nil
-	var accNodes []int
-	if slo {
-		rec.sloSetNodes(runID, n)
-	}
-	if collectNodes {
-		accNodes = make([]int, 0, 16)
-	}
-	var lh *obs.LogHist
-	if obs.Enabled() {
-		lh = obs.NewLogHist()
-	}
+}
 
-	startService := func(v int, now float64) {
-		if busy[v] || qLen[v] == 0 {
-			return
-		}
-		busy[v] = true
-		msg := msgs[qHead[v]]
-		waitSum += now - msg.arrivedAt
-		msgCount++
-		svc := 0.0
-		if serviceMean[v] > 0 {
-			svc = rng.ExpFloat64() * serviceMean[v]
-		}
-		busyTime[v] += svc
-		if msg.slot >= 0 {
-			if st := &states[msg.client*cfg.AccessesPerClient+msg.access]; st.tr != nil {
-				p := &st.tr.Probes[msg.slot]
-				p.QueueWait = now - msg.arrivedAt
-				p.Service = svc
-			}
-		}
-		push(queueEvent{at: now + svc, kind: 2, client: msg.client, access: msg.access, node: v, slot: msg.slot})
+// top returns the time of the earliest pending local event, or +Inf.
+func (w *queueWorker) top() float64 {
+	if len(w.h) == 0 {
+		return math.Inf(1)
 	}
+	return w.h[0].at
+}
 
-	sp := obs.Start("netsim.queueing")
-	defer sp.End()
-	var events int64
-	maxNodeQueue := 0
-	defer func() {
-		obs.Count("netsim.events", events)
-		obs.GaugeMax("netsim.max_queue_depth", float64(maxNodeQueue))
-	}()
-	for len(h) > 0 {
-		e := h.pop()
-		events++
-		if ts != nil {
-			ts.advance(e.at, func(at float64, s *TSample) {
-				s.InFlight = inFlight
-				s.Accesses = stats.Accesses
-				s.NodeHits = append([]int64(nil), nodeHits...)
-				s.QueueDepth = append([]int(nil), qLen...)
-			})
+func (w *queueWorker) allocMsg(m pendingMsg) int {
+	if i := w.freeMsg; i >= 0 {
+		w.freeMsg = w.msgs[i].next
+		w.msgs[i] = m
+		return i
+	}
+	w.msgs = append(w.msgs, m)
+	return len(w.msgs) - 1
+}
+
+func (w *queueWorker) enqueue(v int, m pendingMsg) {
+	m.next = -1
+	i := w.allocMsg(m)
+	r := v - w.lo
+	if w.qTail[r] < 0 {
+		w.qHead[r] = i
+	} else {
+		w.msgs[w.qTail[r]].next = i
+	}
+	w.qTail[r] = i
+	w.qLen[r]++
+}
+
+func (w *queueWorker) dequeue(v int) {
+	r := v - w.lo
+	i := w.qHead[r]
+	w.qHead[r] = w.msgs[i].next
+	if w.qHead[r] < 0 {
+		w.qTail[r] = -1
+	}
+	w.qLen[r]--
+	w.msgs[i].next = w.freeMsg
+	w.freeMsg = i
+}
+
+func (w *queueWorker) startService(v int, now float64) {
+	r := v - w.lo
+	if w.busy[r] || w.qLen[r] == 0 {
+		return
+	}
+	w.busy[r] = true
+	msg := w.msgs[w.qHead[r]]
+	wait := now - msg.arrivedAt
+	w.waitPerNode[r] += wait
+	w.msgCount++
+	svc := 0.0
+	if w.serviceMean[v] > 0 {
+		svc = w.nodeStream[r].ExpFloat64() * w.serviceMean[v]
+	}
+	w.busyTime[r] += svc
+	w.send(pqEvent{at: now + svc, wait: wait, svc: svc, kind: 2,
+		client: msg.client, access: msg.access, node: v, slot: msg.slot})
+}
+
+// fillSample populates one time-series boundary with this shard's share
+// of the gauges (own clients' in-flight/completed counts, own nodes' hit
+// counts and queue depths); boundaries merge additively across shards.
+func (w *queueWorker) fillSample(at float64, s *TSample) {
+	s.InFlight = w.inFlight
+	s.Accesses = w.accesses
+	s.NodeHits = append([]int64(nil), w.nodeHits...)
+	depth := make([]int, w.n)
+	copy(depth[w.lo:w.hi], w.qLen)
+	s.QueueDepth = depth
+}
+
+// process runs every pending local event with at < limit, buffering
+// cross-shard sends. Within the window all of the shard's events below
+// limit are present (the conservative-window invariant), so popping the
+// canonical heap processes them in exactly the order a single global
+// canonical heap would. The outbox rows peers drained in the last ingest
+// phase are reused for this window's sends.
+func (w *queueWorker) process(limit float64) {
+	cfg := w.cfg
+	ins := cfg.Instance
+	nQ := ins.Sys.NumQuorums()
+	for d := range w.outbox {
+		w.outbox[d] = w.outbox[d][:0]
+	}
+	for len(w.h) > 0 && w.h[0].at < limit {
+		e := w.h.pop()
+		w.events++
+		if w.ts != nil {
+			w.ts.advance(e.at, w.fillSample)
 		}
-		if e.at > stats.Clock {
-			stats.Clock = e.at
-		}
+		w.lastAt = e.at
 		switch e.kind {
 		case 0: // client issues an access
-			qi := sampleQuorum()
+			st := &w.states[(e.client-w.lo)*cfg.AccessesPerClient+e.access]
+			cs := &w.clientStream[e.client-w.lo]
+			qi := sort.SearchFloat64s(w.cdf, cs.Float64()*w.acc)
+			if qi >= nQ {
+				qi = nQ - 1
+			}
 			row := ins.M.Row(e.client)
 			q := ins.Sys.Quorum(qi)
-			st := &states[e.client*cfg.AccessesPerClient+e.access]
 			st.remaining = len(q)
 			st.issuedAt = e.at
-			inFlight++
-			if rec != nil && rec.shouldTrace() {
-				st.tr = &AccessTrace{Run: runID, Client: e.client, Quorum: qi, Start: e.at}
-				st.tr.Probes = rec.getProbes(len(q))
+			st.lastResp = 0
+			w.inFlight++
+			if w.traced(e.client, e.access) {
+				st.tr = &AccessTrace{Run: w.runID, Client: e.client, Quorum: qi, Start: e.at}
+				st.tr.Probes = make([]ProbeSpan, len(q))
 			}
-			accNodes = accNodes[:0]
+			w.accNodes = w.accNodes[:0]
 			for slot, u := range q {
 				node := cfg.Placement.Node(u)
-				msgSlot := -1
 				if st.tr != nil {
-					msgSlot = slot
 					st.tr.Probes[slot] = ProbeSpan{
 						Member: u, Node: node, Dispatch: e.at,
 						NetDelay: row[node] + ins.M.D(node, e.client),
 					}
 				}
-				if collectNodes {
-					accNodes = append(accNodes, node)
+				if w.accNodes != nil {
+					w.accNodes = append(w.accNodes, node)
 				}
-				push(queueEvent{at: e.at + row[node], kind: 1, client: e.client, access: e.access, node: node, slot: msgSlot})
+				w.send(pqEvent{at: e.at + row[node], kind: 1,
+					client: e.client, access: e.access, node: node, slot: slot})
 			}
-			if slo {
-				rec.sloNodeHits(runID, e.at, accNodes)
+			if w.slo {
+				w.rec.sloNodeHits(w.runID, e.at, w.accNodes)
 			}
-			if ht != nil {
-				ht.Observe(e.at, e.client, accNodes)
+			if w.ht != nil {
+				w.ht.Observe(e.at, e.client, w.accNodes)
 			}
-		case 1: // message arrives at a node queue
-			enqueue(e.node, pendingMsg{
+		case 1: // message arrives at an owned node's queue
+			w.enqueue(e.node, pendingMsg{
 				client: e.client, access: e.access, arrivedAt: e.at, slot: e.slot,
 			})
-			if nodeHits != nil {
-				nodeHits[e.node]++
+			w.nodeHits[e.node]++
+			if w.qLen[e.node-w.lo] > w.maxNodeQueue {
+				w.maxNodeQueue = w.qLen[e.node-w.lo]
 			}
-			if qLen[e.node] > maxNodeQueue {
-				maxNodeQueue = qLen[e.node]
-			}
-			startService(e.node, e.at)
-		case 2: // service completes; response propagates back
-			dequeue(e.node)
-			busy[e.node] = false
-			startService(e.node, e.at)
-			respAt := e.at + ins.M.D(e.node, e.client)
-			st := &states[e.client*cfg.AccessesPerClient+e.access]
+			w.startService(e.node, e.at)
+		case 2: // service completes; response propagates back to the client
+			w.dequeue(e.node)
+			w.busy[e.node-w.lo] = false
+			w.startService(e.node, e.at)
+			w.send(pqEvent{at: e.at + ins.M.D(e.node, e.client),
+				wait: e.wait, svc: e.svc, kind: 3,
+				client: e.client, access: e.access, node: e.node, slot: e.slot})
+		case 3: // response reaches the client
+			st := &w.states[(e.client-w.lo)*cfg.AccessesPerClient+e.access]
 			st.remaining--
-			if st.tr != nil && e.slot >= 0 {
-				st.tr.Probes[e.slot].Complete = respAt
+			if st.tr != nil {
+				p := &st.tr.Probes[e.slot]
+				p.QueueWait = e.wait
+				p.Service = e.svc
+				p.Complete = e.at
 			}
-			if respAt > st.lastResp {
-				st.lastResp = respAt
+			if e.at > st.lastResp {
+				st.lastResp = e.at
 			}
 			if st.remaining == 0 {
-				stats.Accesses++
-				latencySum += st.lastResp - st.issuedAt
-				if lh != nil {
-					lh.Observe(st.lastResp - st.issuedAt)
-				}
-				if slo {
-					rec.sloAccess(runID, st.lastResp, st.lastResp-st.issuedAt, 0, false, nil)
+				w.accesses++
+				lat := st.lastResp - st.issuedAt
+				w.latBuf = append(w.latBuf, latRec{at: st.lastResp, lat: lat, client: int32(e.client)})
+				w.sh.Observe("netsim.access_latency", lat)
+				if w.slo {
+					w.rec.sloAccess(w.runID, st.lastResp, lat, 0, false, nil)
 				}
 				if st.tr != nil {
 					st.tr.End = st.lastResp
-					st.tr.Latency = st.lastResp - st.issuedAt
-					markStraggler(st.tr)
-					rec.add(*st.tr)
-					traced++
+					st.tr.Latency = lat
+					markStraggler(st.tr.Mode, st.tr.Probes)
+					w.traces = append(w.traces, keyedTrace{at: st.lastResp, client: e.client, access: e.access, tr: *st.tr})
 					st.tr = nil
 				}
-				inFlight--
+				w.inFlight--
 			}
 		}
 	}
-	if stats.Accesses > 0 {
-		stats.AvgLatency = latencySum / float64(stats.Accesses)
-	}
-	if msgCount > 0 {
-		stats.AvgWait = waitSum / float64(msgCount)
-	}
-	if stats.Clock > 0 {
-		for v := 0; v < n; v++ {
-			stats.Utilization[v] = busyTime[v] / stats.Clock
-		}
-	}
-	if lh != nil {
-		obs.MergeHist("netsim.access_latency", lh)
-	}
-	return stats, nil
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Access-level tracing: every simulated quorum access can be captured as an
@@ -14,8 +13,8 @@ import (
 // paper's objective *is* access delay (Avg Δ_f, Avg Γ_f — Eq. 1, §5), so
 // when a placement underperforms its bound the trace shows which accesses
 // were slow and which member was the straggler. Recording is off unless a
-// Recorder is attached (per-Config or package default); the disabled path
-// costs one nil check per access.
+// Recorder is attached to the run's config; the disabled path costs one
+// nil check per access.
 
 // ProbeSpan records one quorum-member contact within a traced access. All
 // times are virtual simulation time. QueueWait and Service are nonzero only
@@ -73,10 +72,9 @@ const defaultSeriesCap = 1 << 16
 // Recorder captures per-access traces and time-series samples from
 // simulation runs into a bounded ring buffer. It is safe for concurrent use
 // and may be shared by several runs (each run gets its own run index).
-// Attach one per run via Config.Recorder, or install a process-wide default
-// with SetDefaultRecorder.
+// Attach one per run via the simulator config's Recorder field.
 type Recorder struct {
-	sampleEvery int
+	sampleEvery int // immutable; runs fold it into their sampling hash
 	tsInterval  float64
 
 	mu            sync.Mutex
@@ -84,18 +82,12 @@ type Recorder struct {
 	ring          []AccessTrace
 	next          int   // ring write cursor
 	added         int64 // traces ever recorded (incl. overwritten)
-	seen          int64 // accesses considered for sampling
 	runs          int
 	nextLabel     string
 	labels        map[int]string
 	series        []TSample
 	seriesCap     int
 	seriesDropped int64
-	// free recycles the Probes backing arrays of overwritten ring entries
-	// back to the simulators (getProbes), so a saturated ring stops
-	// allocating probe slices. Bounded: each overwrite donates one slice and
-	// each traced access consumes at most one.
-	free [][]ProbeSpan
 
 	// Windowed SLO accounting (see slo.go). sloWindow ≤ 0 means off.
 	sloWindow float64
@@ -104,9 +96,10 @@ type Recorder struct {
 }
 
 // NewRecorder returns a Recorder holding up to capacity traces (≤ 0 means
-// the default 4096), recording every sampleEvery-th access (≤ 1 means every
-// access), and snapshotting time-series gauges every tsInterval units of
-// virtual time (≤ 0 disables the time series).
+// the default 4096), recording a deterministic 1-in-sampleEvery sample of
+// the accesses, keyed by (seed, client, access) (≤ 1 means every access),
+// and snapshotting time-series gauges every tsInterval units of virtual
+// time (≤ 0 disables the time series).
 func NewRecorder(capacity, sampleEvery int, tsInterval float64) *Recorder {
 	if capacity <= 0 {
 		capacity = defaultTraceCapacity
@@ -142,13 +135,6 @@ func (r *Recorder) SeriesDropped() int64 {
 	return r.seriesDropped
 }
 
-// sampleEveryN returns the recorder's 1-in-k trace sampling divisor
-// (immutable after construction; the sharded engine folds it into its
-// deterministic sampling hash).
-func (r *Recorder) sampleEveryN() int {
-	return r.sampleEvery
-}
-
 // Trace-sampling presets for -trace-sample flags: named rates for the two
 // regimes operators actually pick — "fine" keeps enough per-access detail
 // to diagnose a placement (1 in 16), "coarse" keeps Perfetto exports of
@@ -159,8 +145,8 @@ const (
 )
 
 // ParseTraceSample parses a -trace-sample flag value: a positive integer
-// k (trace every k-th access; 1 = all) or a preset name, "fine" (1 in
-// 16) or "coarse" (1 in 1024).
+// k (trace a deterministic 1-in-k sample of the accesses; 1 = all) or a
+// preset name, "fine" (1 in 16) or "coarse" (1 in 1024).
 func ParseTraceSample(s string) (int, error) {
 	switch s {
 	case "fine":
@@ -197,19 +183,9 @@ func (r *Recorder) beginRun() int {
 	return id
 }
 
-// shouldTrace reports whether the next access should be traced, advancing
-// the sampling counter.
-func (r *Recorder) shouldTrace() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ok := r.seen%int64(r.sampleEvery) == 0
-	r.seen++
-	return ok
-}
-
 // add records a completed trace into the ring, assigning its ID. When the
-// full ring overwrites an entry, the evicted trace's probe array goes back
-// to the free pool (safe because Traces deep-copies what it hands out).
+// ring is full the new trace overwrites the oldest, whose probes become
+// garbage, so the ring's memory stays bounded by its capacity.
 func (r *Recorder) add(tr AccessTrace) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -220,32 +196,8 @@ func (r *Recorder) add(tr AccessTrace) {
 		r.next = len(r.ring) % r.capacity
 		return
 	}
-	if old := r.ring[r.next].Probes; cap(old) > 0 {
-		r.free = append(r.free, old[:0])
-	}
 	r.ring[r.next] = tr
 	r.next = (r.next + 1) % r.capacity
-}
-
-// getProbes returns a zeroed ProbeSpan slice of length n, backed when
-// possible by memory recycled from overwritten ring entries. Simulators
-// call it instead of make for trace probe windows; slices flow back via add.
-func (r *Recorder) getProbes(n int) []ProbeSpan {
-	r.mu.Lock()
-	var s []ProbeSpan
-	if k := len(r.free); k > 0 {
-		s = r.free[k-1]
-		r.free = r.free[:k-1]
-	}
-	r.mu.Unlock()
-	if cap(s) < n {
-		return make([]ProbeSpan, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = ProbeSpan{}
-	}
-	return s
 }
 
 // addSample appends one time-series sample, or counts it as dropped once
@@ -261,8 +213,7 @@ func (r *Recorder) addSample(s TSample) {
 }
 
 // Traces returns the retained traces, oldest first. Probe slices are deep
-// copies: the ring recycles its probe memory as new traces arrive, so the
-// returned traces must not alias it.
+// copies, so callers may modify them without touching the ring.
 func (r *Recorder) Traces() []AccessTrace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -311,45 +262,13 @@ func (r *Recorder) runLabel(id int) string {
 	return r.labels[id]
 }
 
-// --- package default ---------------------------------------------------------
-
-// defaultRecorder receives traces from runs whose Config carries no explicit
-// Recorder, mirroring the obs package's process-wide collector switch so
-// tracing threads through call stacks (e.g. the experiment suite) without
-// signature changes.
-var defaultRecorder atomic.Pointer[Recorder]
-
-// SetDefaultRecorder installs r as the recorder for runs that do not attach
-// one explicitly; nil uninstalls.
-func SetDefaultRecorder(r *Recorder) {
-	defaultRecorder.Store(r)
-}
-
-// DefaultRecorder returns the installed process-wide recorder, or nil.
-func DefaultRecorder() *Recorder {
-	return defaultRecorder.Load()
-}
-
-// recorderFor resolves the recorder a run should use.
-func recorderFor(explicit *Recorder) *Recorder {
-	if explicit != nil {
-		return explicit
-	}
-	return defaultRecorder.Load()
-}
-
 // --- straggler marking --------------------------------------------------------
 
 // markStraggler flags the probe that determined the access latency: the
 // latest completion under the max-delay model, the longest individual delay
-// under the total-delay model. Failed probes never count.
-func markStraggler(tr *AccessTrace) {
-	markStragglerIn(tr.Mode, tr.Probes)
-}
-
-// markStragglerIn marks the straggler within one probe window (used by the
-// failure simulator to consider only the final successful attempt).
-func markStragglerIn(mode Mode, probes []ProbeSpan) {
+// under the total-delay model. Failed probes never count, and the failure
+// simulator passes only the final successful attempt's probes.
+func markStraggler(mode Mode, probes []ProbeSpan) {
 	best := -1
 	var bestVal float64
 	for i := range probes {
@@ -372,18 +291,15 @@ func markStragglerIn(mode Mode, probes []ProbeSpan) {
 
 // --- time-series sampling ----------------------------------------------------
 
-// tsState drives interval sampling for one run: sample is called for every
-// interval boundary crossed before the next event is processed.
+// tsState drives interval sampling for one shard of a run: fill is called
+// for every interval boundary crossed before the next event is processed.
+// Every shard walks the identical boundary sequence, so the buffered
+// samples merge boundary-by-boundary after the run (mergeSamples).
 type tsState struct {
-	rec      *Recorder
 	run      int
 	interval float64
 	next     float64
-	// emit, when non-nil, receives samples instead of rec.addSample. The
-	// sharded engine points it at a worker-local buffer: every worker
-	// walks the identical boundary sequence, so buffered samples merge
-	// boundary-by-boundary after the join (mergeSamples).
-	emit func(TSample)
+	samples  []TSample
 	// completion-time min-heap of in-flight accesses (propagation sims,
 	// where completion is not itself an event).
 	done fheap
@@ -393,30 +309,16 @@ func newTSState(rec *Recorder, run int) *tsState {
 	if rec == nil || rec.tsInterval <= 0 {
 		return nil
 	}
-	return &tsState{rec: rec, run: run, interval: rec.tsInterval, next: rec.tsInterval}
+	return &tsState{run: run, interval: rec.tsInterval, next: rec.tsInterval}
 }
 
-// newTSStateSink is newTSState with samples routed to emit instead of the
-// recorder's shared series.
-func newTSStateSink(rec *Recorder, run int, emit func(TSample)) *tsState {
-	t := newTSState(rec, run)
-	if t != nil {
-		t.emit = emit
-	}
-	return t
-}
-
-// advance emits samples for every boundary ≤ now; fill populates the
+// advance buffers samples for every boundary ≤ now; fill populates the
 // per-simulator gauges of the sample (queue depths, in-flight count).
 func (t *tsState) advance(now float64, fill func(at float64, s *TSample)) {
 	for t.next <= now {
 		s := TSample{Run: t.run, At: t.next}
 		fill(t.next, &s)
-		if t.emit != nil {
-			t.emit(s)
-		} else {
-			t.rec.addSample(s)
-		}
+		t.samples = append(t.samples, s)
 		t.next += t.interval
 	}
 }
@@ -527,8 +429,8 @@ func sortedIntKeys[V any](m map[int]V) []int {
 	return keys
 }
 
-// quantileSorted interpolates the q-quantile of an ascending-sorted sample
-// with the same R-7 estimator as Stats.Percentile.
+// quantileSorted interpolates the q-quantile (0 ≤ q ≤ 1) of an
+// ascending-sorted sample with the R-7 estimator; 0 for an empty sample.
 func quantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -66,21 +67,82 @@ func TestTraceProbesMatchLatency(t *testing.T) {
 	}
 }
 
-// TestTraceSampling: 1-in-k sampling records every k-th access.
+// TestTraceSampling: 1-in-k sampling records exactly the (client, access)
+// pairs the deterministic hash selects at the run's seed — no tolerance —
+// and the same pairs at every worker count.
 func TestTraceSampling(t *testing.T) {
 	ins, p := buildInstance(t)
-	rec := NewRecorder(0, 10, 0)
+	const apc, every, seed = 50, 10, 3
+	type key struct{ client, access int }
+	want := map[key]bool{}
+	for v := 0; v < ins.M.N(); v++ {
+		for a := 0; a < apc; a++ {
+			if shouldTraceDet(traceSeedFor(seed), v, a, every) {
+				want[key{v, a}] = true
+			}
+		}
+	}
+	if len(want) == 0 || len(want) == ins.M.N()*apc {
+		t.Fatalf("sampler selected %d of %d accesses; test exercises nothing", len(want), ins.M.N()*apc)
+	}
+	for _, workers := range []int{0, 1, 4} {
+		rec := NewRecorder(0, every, 0)
+		if _, err := Run(Config{
+			Instance: ins, Placement: p, Mode: Parallel,
+			AccessesPerClient: apc, Seed: seed, Recorder: rec, Workers: workers,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Recorded() != int64(len(want)) {
+			t.Fatalf("workers=%d: sample=%d recorded %d accesses, the hash selects %d",
+				workers, every, rec.Recorded(), len(want))
+		}
+		// Each client's traces appear in access order, so the k-th trace of
+		// a client is its k-th selected access.
+		next := map[int]int{}
+		for _, tr := range rec.Traces() {
+			a := next[tr.Client]
+			for !want[key{tr.Client, a}] {
+				a++
+				if a >= apc {
+					t.Fatalf("workers=%d: client %d traced more accesses than selected", workers, tr.Client)
+				}
+			}
+			next[tr.Client] = a + 1
+		}
+	}
+}
+
+// TestRecorderRetainsBoundedHeap: a saturated ring keeps O(capacity)
+// memory. Every evicted trace's probes must become garbage; a recorder
+// that parks them anywhere grows with the number of accesses traced.
+func TestRecorderRetainsBoundedHeap(t *testing.T) {
+	ins, p := buildInstance(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rec := NewRecorder(16, 1, 0)
 	stats, err := Run(Config{
 		Instance: ins, Placement: p, Mode: Parallel,
-		AccessesPerClient: 50, Seed: 3, Recorder: rec,
+		AccessesPerClient: 2000, Seed: 5, Recorder: rec, Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64((stats.Accesses + 9) / 10)
-	if rec.Recorded() != want {
-		t.Fatalf("sample=10 recorded %d of %d accesses, want %d", rec.Recorded(), stats.Accesses, want)
+	if rec.Recorded() != 18000 || stats.Accesses != 18000 {
+		t.Fatalf("traced %d of %d accesses, want 18000", rec.Recorded(), stats.Accesses)
 	}
+	stats = nil
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	// The 16 retained traces with their 3-probe arrays take a few KiB; the
+	// 17,984 evicted ones would take megabytes.
+	const bound = 256 << 10
+	if after.HeapAlloc > before.HeapAlloc && after.HeapAlloc-before.HeapAlloc > bound {
+		t.Fatalf("recorder of capacity 16 retains %d bytes after 18000 traced accesses, want <= %d",
+			after.HeapAlloc-before.HeapAlloc, bound)
+	}
+	runtime.KeepAlive(rec)
 }
 
 // TestTraceRingBounded: the ring keeps the newest traces, reports drops,
@@ -147,29 +209,6 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 	if len(runs) < 2 {
 		t.Fatalf("traces from %d runs retained, want several", len(runs))
-	}
-}
-
-// TestDefaultRecorder: runs without an explicit recorder fall back to the
-// installed default, and uninstalling stops recording.
-func TestDefaultRecorder(t *testing.T) {
-	ins, p := buildInstance(t)
-	rec := NewRecorder(0, 1, 0)
-	SetDefaultRecorder(rec)
-	defer SetDefaultRecorder(nil)
-	if _, err := Run(Config{Instance: ins, Placement: p, Mode: Parallel, AccessesPerClient: 2, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Recorded() == 0 {
-		t.Fatal("default recorder captured nothing")
-	}
-	n := rec.Recorded()
-	SetDefaultRecorder(nil)
-	if _, err := Run(Config{Instance: ins, Placement: p, Mode: Parallel, AccessesPerClient: 2, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Recorded() != n {
-		t.Fatal("recorder still capturing after uninstall")
 	}
 }
 

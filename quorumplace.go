@@ -305,8 +305,7 @@ func RunSim(cfg SimConfig) (*SimStats, error) { return netsim.Run(cfg) }
 
 // SimRecorder captures per-access traces (one probe span per contacted
 // quorum member) and virtual-time time-series samples from simulation runs
-// into a bounded ring buffer; attach one via SimConfig.Recorder or install
-// a process-wide default with SetDefaultSimRecorder.
+// into a bounded ring buffer; attach one via SimConfig.Recorder.
 type SimRecorder = netsim.Recorder
 
 // SimAccessTrace is one traced quorum access.
@@ -319,16 +318,12 @@ type SimProbeSpan = netsim.ProbeSpan
 type SimTimeSample = netsim.TSample
 
 // NewSimRecorder returns a recorder holding up to capacity traces (≤0 for
-// the default 4096), tracing every sampleEvery-th access (≤1 for all), and
-// sampling gauges every tsInterval virtual-time units (≤0 disables).
+// the default 4096), tracing a deterministic 1-in-sampleEvery sample of the
+// accesses (≤1 for all), and sampling gauges every tsInterval virtual-time
+// units (≤0 disables).
 func NewSimRecorder(capacity, sampleEvery int, tsInterval float64) *SimRecorder {
 	return netsim.NewRecorder(capacity, sampleEvery, tsInterval)
 }
-
-// SetDefaultSimRecorder installs r as the recorder used by simulation runs
-// that do not attach one explicitly (nil uninstalls), letting tracing reach
-// simulations buried in call stacks such as the experiment suite.
-func SetDefaultSimRecorder(r *SimRecorder) { netsim.SetDefaultRecorder(r) }
 
 // Trace-sampling presets for -trace-sample flags: "fine" keeps enough
 // per-access detail to diagnose a placement, "coarse" keeps Perfetto
@@ -339,8 +334,8 @@ const (
 )
 
 // ParseSimTraceSample parses a -trace-sample flag value: a positive
-// integer k (trace every k-th access) or a preset name, "fine" (1 in 16)
-// or "coarse" (1 in 1024).
+// integer k (trace a deterministic 1-in-k sample of the accesses) or a
+// preset name, "fine" (1 in 16) or "coarse" (1 in 1024).
 func ParseSimTraceSample(s string) (int, error) { return netsim.ParseTraceSample(s) }
 
 // ChromeTrace accumulates events in the Chrome trace-event format that
@@ -436,8 +431,7 @@ func FormatSimSLOWindows(windows []SimSLOWindow) string {
 // HeatSketch accumulates a stream of quorum accesses into deterministic,
 // mergeable workload sketches: per-client/per-node EWMA rates over virtual
 // time, heavy-hitter summaries, and drift scores against the demand the
-// placement was solved for. Attach one per run via SimConfig.Heat, or
-// install a process-wide default with SetDefaultHeat.
+// placement was solved for. Attach one per run via SimConfig.Heat.
 type HeatSketch = heat.Sketch
 
 // HeatOptions configures a HeatSketch (epoch length, EWMA half-life,
@@ -457,10 +451,6 @@ type HeatAttribution = heat.Attribution
 
 // NewHeatSketch returns an empty workload sketch.
 func NewHeatSketch(o HeatOptions) *HeatSketch { return heat.New(o) }
-
-// SetDefaultHeat installs (or with nil removes) the process-wide sketch
-// that simulation runs feed when their config carries none.
-func SetDefaultHeat(s *HeatSketch) { netsim.SetDefaultHeat(s) }
 
 // HeatDrift compares a live demand estimate against a plan demand vector
 // (nil plan means uniform); both are unnormalized non-negative weights.

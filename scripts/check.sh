@@ -32,10 +32,10 @@ echo "== tree-DP scaling smoke (10^4-node exact solve with independent re-evalua
 go test ./internal/treedp -run 'TestTreeDPLargeSmoke' -count=1 -short
 
 echo "== go test -race (instrumented packages)"
-go test -race ./internal/obs ./internal/obs/export ./internal/placement ./internal/netsim ./internal/graph ./internal/treedp ./internal/agg ./internal/heat ./internal/daemon
+go test -race ./internal/obs ./internal/obs/export ./internal/placement ./internal/netsim ./internal/graph ./internal/treedp ./internal/agg ./internal/heat ./internal/daemon ./internal/eval
 
-echo "== go test -race -count=2 (tracing, telemetry, exposition, heat sketches, parallel solver and parallel metric build)"
-go test -race -count=2 ./internal/obs ./internal/obs/export ./internal/netsim ./internal/placement ./internal/graph ./internal/heat ./internal/daemon
+echo "== go test -race -count=2 (tracing, telemetry, exposition, heat sketches, parallel solver, parallel metric build and concurrent experiment suites)"
+go test -race -count=2 ./internal/obs ./internal/obs/export ./internal/netsim ./internal/placement ./internal/graph ./internal/heat ./internal/daemon ./internal/eval
 
 echo "== metrics exposition smoke (qppeval -metrics-addr scraped by qppmon -validate)"
 MPORT="${MPORT:-9464}"
@@ -68,14 +68,17 @@ BENCHTIME=0.05s OUT=/tmp/bench_check.json NO_ARCHIVE=1 ./scripts/bench.sh >/dev/
 # p99_delay must agree within the histogram bucketing band; ns/op is not
 # comparable (-ignore-ns). The k=5 LP-scaling benchmark runs few enough
 # iterations at 0.05s benchtime that one-time setup dominates allocs/op,
-# hence its wider band. The pr8 baseline includes the heat-sketch
+# hence its wider band. The baseline includes the heat-sketch
 # benchmarks, so their allocation profile (Observe: zero per op) is gated
 # here too. BenchmarkE15Queueing enables telemetry as of pr9 (it reports
 # events/sec from the counter plane), which adds the span + run-local
-# histogram allocations on top of the 13-alloc hot loop — hence its band.
+# histogram allocations on top of the hot loop — hence its band. The
+# baseline was recorded at this same 0.05s benchtime with maxprocs equal
+# to the recording box's core count (2), so setup amortization and
+# GOMAXPROCS-sized worker pools match the fresh run.
 go run ./cmd/benchdiff -ignore-ns -allocs-threshold 0.5 \
     -allocs-per 'BenchmarkAblationLPScaling/k=5=1.0,BenchmarkE15Queueing=1.0' \
-    -metric 'p99_delay=0.02,p999_delay=0.02' BENCH_2026-08-07-pr8.json /tmp/bench_check.json
+    -metric 'p99_delay=0.02,p999_delay=0.02' BENCH_2026-10-17.json /tmp/bench_check.json
 go run ./cmd/benchdiff -per 'BenchmarkE11NetsimValidation=0.02,BenchmarkE3TotalDelay=0.30' BENCH_2026-08-06.json BENCH_2026-08-06-pr3.json
 go run ./cmd/benchdiff -ignore-ns BENCH_2026-08-06-pr3.json BENCH_2026-08-06-pr4.json
 # pr4 -> pr6 adds allocations on telemetry-ON paths only: one run-local
