@@ -1,55 +1,35 @@
-// Command benchdiff compares two BENCH_*.json snapshots produced by
-// scripts/bench.sh and exits nonzero when the newer one regresses, so the
-// perf trajectory the snapshots record can gate CI.
+// Command benchdiff is the performance gate. It checks a fresh snapshot
+// written by scripts/bench.sh (NEW) against the latest committed snapshot
+// (BASE) and exits nonzero when NEW fails any gate:
 //
-// A benchmark regresses when its ns/op grows beyond the noise threshold
-// (default ±10%) or its allocs/op grows at all (allocations are
-// deterministic, so the default comparison is exact). Improvements and
-// benchmarks present on only one side are reported but do not fail the
-// gate, except that -require-all turns benchmarks missing from NEW into
-// failures.
+//   - Every benchmark in BASE must be in NEW. A benchmark that fails at
+//     runtime drops out of the snapshot, so a missing one is a failure.
+//   - allocs/op must not grow beyond -allocs-threshold (0, the default,
+//     means exact), or beyond the benchmark's own -allocs-per band.
+//     Allocations are deterministic, so they compare across machines.
+//   - Each -metric custom metric (p99_delay, ...) must stay within its
+//     symmetric relative band of BASE. Fixed-seed simulated quantiles are
+//     virtual-time quantities, identical on every machine.
+//   - Each -speedup ratio ns/op(SLOW) / ns/op(FAST) in NEW must reach
+//     RATIO. Both numbers come from one run, so the ratio is comparable
+//     across machines. An entry with a MINCPUS field is skipped when NEW
+//     was recorded with fewer GOMAXPROCS: a worker-scaling ratio means
+//     nothing on a machine that cannot run the workers in parallel.
+//   - Each -max-time benchmark's ns/op in NEW must stay under its ceiling,
+//     an end-to-end promise such as "a 10⁵-node tree solve stays under
+//     10s".
 //
-// ns/op is only comparable between runs on the same machine; across
-// machines (e.g. a committed snapshot vs a CI runner) pass -ignore-ns and
-// let the machine-independent allocs/op carry the gate.
-//
-// A second mode, -speedup, gates a ratio between two benchmarks of the
-// SAME snapshot — e.g. the parallel-QPP scaling, where workers=1 vs
-// workers=4 of one run must differ by at least the stated factor. Because
-// both numbers come from one machine and one run, the ratio is
-// machine-comparable even though the absolute ns/op are not. A speedup
-// gate that depends on core count pairs with -min-cpus: snapshots record
-// the GOMAXPROCS they ran under, and the gate is skipped (successfully)
-// when the recording machine had fewer cores than the gate needs.
+// ns/op is never compared between BASE and NEW, which usually come from
+// different machines.
 //
 // Usage:
 //
-//	benchdiff [flags] OLD.json NEW.json
-//	  -threshold 0.10       ns/op noise band (fraction)
-//	  -per name=frac,...    per-benchmark ns/op threshold overrides
-//	  -allocs-threshold 0   allocs/op tolerance (0 = exact)
-//	  -allocs-per name=frac,... per-benchmark allocs/op tolerance overrides
-//	                        (benchmarks whose one-time setup dominates at
-//	                        short benchtimes need a wider band)
-//	  -ignore-ns            skip ns/op comparison (cross-machine runs)
-//	  -require-all          fail when NEW lacks a benchmark OLD has
-//	  -metric name=band,... gate custom benchmark metrics (p99_delay, ...)
-//	                        within a symmetric relative band; deterministic
-//	                        fixed-seed metrics ARE machine-comparable, so
-//	                        these gates pair with -ignore-ns for
-//	                        cross-machine runs. A metric present on only
-//	                        one side is noted, not gated.
-//
-//	benchdiff -speedup SLOW:FAST:MINRATIO[,...] [-min-cpus N] SNAP.json
-//	  fails unless ns/op(SLOW) / ns/op(FAST) >= MINRATIO for every entry
-//
-//	benchdiff -max-time NAME=DURATION[,...] SNAP.json
-//	  fails unless ns/op(NAME) <= DURATION (e.g. 10s). An absolute
-//	  wall-clock ceiling is machine-dependent like ns/op itself, so these
-//	  gates belong next to the snapshot they were calibrated on; they
-//	  encode end-to-end promises ("a 10⁵-node tree solve stays under 10s")
-//	  that a relative comparison cannot express. -speedup and -max-time
-//	  compose in one invocation over the same snapshot.
+//	benchdiff [gates] BASE.json NEW.json
+//	  -allocs-threshold FRAC
+//	  -allocs-per NAME=FRAC,...
+//	  -metric NAME=BAND,...
+//	  -speedup SLOW:FAST:RATIO[:MINCPUS],...
+//	  -max-time NAME=DURATION,...
 package main
 
 import (
@@ -74,7 +54,7 @@ func main() {
 }
 
 // snapshot mirrors the JSON layout scripts/bench.sh writes. MaxProcs is the
-// GOMAXPROCS of the recording run (0 in snapshots predating the field).
+// GOMAXPROCS of the recording run.
 type snapshot struct {
 	Date       string      `json:"date"`
 	Commit     string      `json:"commit"`
@@ -130,130 +110,110 @@ func (b *benchLine) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
+// speedupGate is one -speedup entry. minCPUs 0 means the gate always fires.
+type speedupGate struct {
+	slow, fast string
+	ratio      float64
+	minCPUs    int
+}
+
+// ceiling is one -max-time entry.
+type ceiling struct {
+	name  string
+	limit time.Duration
+}
+
 func run(args []string, stdout, stderr io.Writer) (int, error) {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	threshold := fs.Float64("threshold", 0.10, "ns/op noise band as a fraction (new > old·(1+t) fails)")
-	per := fs.String("per", "", "comma-separated name=fraction per-benchmark ns/op threshold overrides")
 	allocsThreshold := fs.Float64("allocs-threshold", 0, "allocs/op tolerance as a fraction (0 = exact match)")
-	allocsPer := fs.String("allocs-per", "", "comma-separated name=fraction per-benchmark allocs/op tolerance overrides (for setup-amortization at short benchtimes)")
-	ignoreNS := fs.Bool("ignore-ns", false, "skip the ns/op comparison (for cross-machine snapshots)")
-	requireAll := fs.Bool("require-all", false, "fail when NEW lacks a benchmark present in OLD")
+	allocsPer := fs.String("allocs-per", "", "comma-separated name=fraction per-benchmark allocs/op tolerance overrides (for setup amortization at short benchtimes)")
 	metricSpec := fs.String("metric", "", "comma-separated name=band custom-metric drift gates (e.g. p99_delay=0.02); drift beyond the band in either direction fails")
-	speedup := fs.String("speedup", "", "comma-separated SLOW:FAST:MINRATIO gates over one snapshot (ns/op ratio)")
-	minCPUs := fs.Int("min-cpus", 0, "with -speedup: pass trivially when the snapshot's maxprocs is below this")
-	maxTime := fs.String("max-time", "", "comma-separated NAME=DURATION absolute ns/op ceilings over one snapshot (e.g. BenchmarkTreeDP=10s)")
+	speedupSpec := fs.String("speedup", "", "comma-separated SLOW:FAST:RATIO[:MINCPUS] ns/op ratio gates over NEW, skipped when NEW's maxprocs is below MINCPUS")
+	maxTimeSpec := fs.String("max-time", "", "comma-separated NAME=DURATION ns/op ceilings over NEW (e.g. BenchmarkTreeDP=10s)")
 	if err := fs.Parse(args); err != nil {
 		return 2, err
 	}
-	if *speedup != "" || *maxTime != "" {
-		if fs.NArg() != 1 {
-			fs.Usage()
-			return 2, fmt.Errorf("single-snapshot gates want exactly one snapshot file, got %d", fs.NArg())
-		}
-		code := 0
-		if *speedup != "" {
-			c, err := runSpeedup(*speedup, *minCPUs, fs.Arg(0), stdout)
-			if err != nil {
-				return c, err
-			}
-			code = max(code, c)
-		}
-		if *maxTime != "" {
-			c, err := runMaxTime(*maxTime, fs.Arg(0), stdout)
-			if err != nil {
-				return c, err
-			}
-			code = max(code, c)
-		}
-		return code, nil
-	}
 	if fs.NArg() != 2 {
 		fs.Usage()
-		return 2, fmt.Errorf("want exactly two snapshot files, got %d", fs.NArg())
+		return 2, fmt.Errorf("want BASE.json NEW.json, got %d arguments", fs.NArg())
 	}
-	overrides, err := parseOverrides(*per)
+	allocsBands, err := parseBands(*allocsPer)
 	if err != nil {
 		return 2, err
 	}
-	metricBands, err := parseOverrides(*metricSpec)
+	metricBands, err := parseBands(*metricSpec)
 	if err != nil {
 		return 2, err
 	}
-	allocsOverrides, err := parseOverrides(*allocsPer)
+	speedups, err := parseSpeedups(*speedupSpec)
 	if err != nil {
 		return 2, err
 	}
+	ceilings, err := parseMaxTimes(*maxTimeSpec)
+	if err != nil {
+		return 2, err
+	}
+	base, err := readSnapshot(fs.Arg(0))
+	if err != nil {
+		return 2, err
+	}
+	fresh, err := readSnapshot(fs.Arg(1))
+	if err != nil {
+		return 2, err
+	}
+	fmt.Fprintf(stdout, "benchdiff: %s (%s, %s) -> %s (%s, %s, maxprocs %d)\n",
+		fs.Arg(0), base.Commit, base.Benchtime, fs.Arg(1), fresh.Commit, fresh.Benchtime, fresh.MaxProcs)
+
+	compared, added, failures := compare(base, fresh, *allocsThreshold, allocsBands, metricBands, stdout)
+	failures += checkSpeedups(fresh, speedups, stdout)
+	failures += checkMaxTimes(fresh, ceilings, stdout)
+	fmt.Fprintf(stdout, "benchdiff: %d compared, %d regressions, %d new\n", compared, failures, added)
+	if failures > 0 {
+		return 1, nil
+	}
+	return 0, nil
+}
+
+// compare gates every BASE benchmark's allocs/op and custom metrics against
+// NEW and returns the number compared, the number only NEW has, and the
+// number of failures.
+func compare(base, fresh *snapshot, allocsThreshold float64, allocsBands, metricBands map[string]float64, stdout io.Writer) (compared, added, failures int) {
+	baseBy, newBy := index(base), index(fresh)
+	keys := make([]string, 0, len(baseBy))
+	for k := range baseBy {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
 	metricNames := make([]string, 0, len(metricBands))
 	for m := range metricBands {
 		metricNames = append(metricNames, m)
 	}
 	sort.Strings(metricNames)
 
-	oldSnap, err := readSnapshot(fs.Arg(0))
-	if err != nil {
-		return 2, err
-	}
-	newSnap, err := readSnapshot(fs.Arg(1))
-	if err != nil {
-		return 2, err
-	}
-	fmt.Fprintf(stdout, "benchdiff: %s (%s, %s) -> %s (%s, %s)\n",
-		fs.Arg(0), oldSnap.Commit, oldSnap.Benchtime, fs.Arg(1), newSnap.Commit, newSnap.Benchtime)
-
-	oldBy := index(oldSnap)
-	newBy := index(newSnap)
-
-	keys := make([]string, 0, len(oldBy))
-	for k := range oldBy {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	regressions := 0
 	for _, k := range keys {
-		o := oldBy[k]
+		o := baseBy[k]
 		n, ok := newBy[k]
 		if !ok {
-			if *requireAll {
-				regressions++
-				fmt.Fprintf(stdout, "MISSING   %s (present in OLD only)\n", k)
-			} else {
-				fmt.Fprintf(stdout, "missing   %s (present in OLD only; not gating)\n", k)
-			}
+			failures++
+			fmt.Fprintf(stdout, "MISSING   %s (in BASE, not in NEW: it failed or did not run)\n", k)
 			continue
 		}
-		t := *threshold
-		if ov, ok := overrides[o.Name]; ok {
-			t = ov
+		at := allocsThreshold
+		if band, ok := allocsBands[o.Name]; ok {
+			at = band
 		}
-		at := *allocsThreshold
-		if ov, ok := allocsOverrides[o.Name]; ok {
-			at = ov
-		}
-		nsDelta := rel(o.NsPerOp, n.NsPerOp)
-		allocsDelta := rel(o.AllocsPerOp, n.AllocsPerOp)
 		switch {
-		case !*ignoreNS && n.NsPerOp > o.NsPerOp*(1+t):
-			regressions++
-			fmt.Fprintf(stdout, "REGRESS   %-60s ns/op %12.1f -> %12.1f  (%+.1f%%, limit +%.1f%%)\n",
-				k, o.NsPerOp, n.NsPerOp, 100*nsDelta, 100*t)
 		case n.AllocsPerOp > o.AllocsPerOp*(1+at):
-			regressions++
+			failures++
 			fmt.Fprintf(stdout, "REGRESS   %-60s allocs/op %g -> %g (limit +%.1f%%)\n",
 				k, o.AllocsPerOp, n.AllocsPerOp, 100*at)
-		case !*ignoreNS && n.NsPerOp < o.NsPerOp*(1-t):
-			fmt.Fprintf(stdout, "improved  %-60s ns/op %12.1f -> %12.1f  (%+.1f%%)\n",
-				k, o.NsPerOp, n.NsPerOp, 100*nsDelta)
 		case n.AllocsPerOp < o.AllocsPerOp:
 			fmt.Fprintf(stdout, "improved  %-60s allocs/op %g -> %g\n", k, o.AllocsPerOp, n.AllocsPerOp)
 		default:
-			fmt.Fprintf(stdout, "ok        %-60s ns/op %+.1f%%  allocs/op %+.1f%%\n",
-				k, 100*nsDelta, 100*allocsDelta)
+			fmt.Fprintf(stdout, "ok        %-60s allocs/op %g -> %g\n", k, o.AllocsPerOp, n.AllocsPerOp)
 		}
-		// Custom-metric drift gates. Deterministic metrics (fixed-seed
-		// simulated quantiles) must agree across machines up to the stated
-		// band; a metric present on only one side is noted, not gated.
+		// A metric present on only one side is noted, not gated.
 		for _, m := range metricNames {
 			ov, oOK := o.Extra[m]
 			nv, nOK := n.Extra[m]
@@ -267,7 +227,7 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 			band := metricBands[m]
 			delta := rel(ov, nv)
 			if delta > band || delta < -band {
-				regressions++
+				failures++
 				fmt.Fprintf(stdout, "DRIFT     %-60s %s %g -> %g  (%+.2f%%, band ±%.2f%%)\n",
 					k, m, ov, nv, 100*delta, 100*band)
 			} else {
@@ -276,119 +236,63 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 			}
 		}
 	}
-	added := 0
 	for k := range newBy {
-		if _, ok := oldBy[k]; !ok {
+		if _, ok := baseBy[k]; !ok {
 			added++
 			fmt.Fprintf(stdout, "new       %s\n", k)
 		}
 	}
-	fmt.Fprintf(stdout, "benchdiff: %d compared, %d regressions, %d new\n",
-		len(keys), regressions, added)
-	if regressions > 0 {
-		return 1, nil
-	}
-	return 0, nil
+	return len(keys), added, failures
 }
 
-// runSpeedup evaluates SLOW:FAST:MINRATIO gates against one snapshot. The
-// gate is skipped — counted as passing, with a note — when the snapshot
-// records fewer than minCPUs GOMAXPROCS, because a worker-scaling ratio is
-// meaningless on a machine that cannot run the workers in parallel.
-func runSpeedup(spec string, minCPUs int, path string, stdout io.Writer) (int, error) {
-	snap, err := readSnapshot(path)
-	if err != nil {
-		return 2, err
-	}
-	if minCPUs > 0 && snap.MaxProcs < minCPUs {
-		fmt.Fprintf(stdout, "benchdiff: %s recorded with maxprocs=%d < %d; speedup gate skipped\n",
-			path, snap.MaxProcs, minCPUs)
-		return 0, nil
-	}
-	// Accept either the bare benchmark name or the pkg/name key.
-	byName := map[string]benchLine{}
-	for _, b := range snap.Benchmarks {
-		byName[b.Name] = b
-		byName[b.Pkg+"/"+b.Name] = b
-	}
-	failures := 0
-	for _, part := range strings.Split(spec, ",") {
-		fields := strings.Split(strings.TrimSpace(part), ":")
-		if len(fields) != 3 {
-			return 2, fmt.Errorf("bad -speedup entry %q (want SLOW:FAST:MINRATIO)", part)
+// checkSpeedups evaluates the -speedup gates on NEW and returns the number
+// of failures.
+func checkSpeedups(fresh *snapshot, gates []speedupGate, stdout io.Writer) (failures int) {
+	byName := nameIndex(fresh)
+	for _, g := range gates {
+		if fresh.MaxProcs < g.minCPUs {
+			fmt.Fprintf(stdout, "skipped   %s / %s (NEW recorded at maxprocs %d < %d)\n",
+				g.slow, g.fast, fresh.MaxProcs, g.minCPUs)
+			continue
 		}
-		minRatio, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil || minRatio <= 0 {
-			return 2, fmt.Errorf("bad -speedup ratio %q", fields[2])
-		}
-		slow, ok := byName[fields[0]]
-		if !ok {
-			return 2, fmt.Errorf("%s: benchmark %q not in snapshot", path, fields[0])
-		}
-		fast, ok := byName[fields[1]]
-		if !ok {
-			return 2, fmt.Errorf("%s: benchmark %q not in snapshot", path, fields[1])
-		}
-		if fast.NsPerOp <= 0 {
-			return 2, fmt.Errorf("%s: benchmark %q has non-positive ns/op", path, fields[1])
-		}
-		ratio := slow.NsPerOp / fast.NsPerOp
-		if ratio < minRatio {
+		slow, okSlow := byName[g.slow]
+		fast, okFast := byName[g.fast]
+		switch {
+		case !okSlow || !okFast:
+			failures++
+			fmt.Fprintf(stdout, "MISSING   %s / %s (speedup benchmark not in NEW)\n", g.slow, g.fast)
+		case fast.NsPerOp <= 0 || slow.NsPerOp/fast.NsPerOp < g.ratio:
 			failures++
 			fmt.Fprintf(stdout, "REGRESS   %s / %s = %.2fx (want >= %.2fx)\n",
-				fields[0], fields[1], ratio, minRatio)
-		} else {
+				g.slow, g.fast, slow.NsPerOp/fast.NsPerOp, g.ratio)
+		default:
 			fmt.Fprintf(stdout, "ok        %s / %s = %.2fx (>= %.2fx)\n",
-				fields[0], fields[1], ratio, minRatio)
+				g.slow, g.fast, slow.NsPerOp/fast.NsPerOp, g.ratio)
 		}
 	}
-	if failures > 0 {
-		return 1, nil
-	}
-	return 0, nil
+	return failures
 }
 
-// runMaxTime evaluates NAME=DURATION ceilings against one snapshot: the
-// benchmark's ns/op must not exceed the stated wall-clock budget per op.
-func runMaxTime(spec, path string, stdout io.Writer) (int, error) {
-	snap, err := readSnapshot(path)
-	if err != nil {
-		return 2, err
-	}
-	byName := map[string]benchLine{}
-	for _, b := range snap.Benchmarks {
-		byName[b.Name] = b
-		byName[b.Pkg+"/"+b.Name] = b
-	}
-	failures := 0
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		// Split at the LAST '=': sub-benchmark names contain '='.
-		i := strings.LastIndex(part, "=")
-		if i < 0 {
-			return 2, fmt.Errorf("bad -max-time entry %q (want NAME=DURATION)", part)
-		}
-		name, durStr := part[:i], part[i+1:]
-		dur, err := time.ParseDuration(durStr)
-		if err != nil || dur <= 0 {
-			return 2, fmt.Errorf("bad -max-time duration %q in %q", durStr, part)
-		}
-		b, ok := byName[name]
+// checkMaxTimes evaluates the -max-time ceilings on NEW and returns the
+// number of failures.
+func checkMaxTimes(fresh *snapshot, ceilings []ceiling, stdout io.Writer) (failures int) {
+	byName := nameIndex(fresh)
+	for _, c := range ceilings {
+		b, ok := byName[c.name]
 		if !ok {
-			return 2, fmt.Errorf("%s: benchmark %q not in snapshot", path, name)
+			failures++
+			fmt.Fprintf(stdout, "MISSING   %s (max-time benchmark not in NEW)\n", c.name)
+			continue
 		}
 		got := time.Duration(b.NsPerOp)
-		if got > dur {
+		if got > c.limit {
 			failures++
-			fmt.Fprintf(stdout, "REGRESS   %s = %v/op (want <= %v)\n", name, got, dur)
+			fmt.Fprintf(stdout, "REGRESS   %s = %v/op (want <= %v)\n", c.name, got, c.limit)
 		} else {
-			fmt.Fprintf(stdout, "ok        %s = %v/op (<= %v)\n", name, got, dur)
+			fmt.Fprintf(stdout, "ok        %s = %v/op (<= %v)\n", c.name, got, c.limit)
 		}
 	}
-	if failures > 0 {
-		return 1, nil
-	}
-	return 0, nil
+	return failures
 }
 
 func readSnapshot(path string) (*snapshot, error) {
@@ -406,6 +310,7 @@ func readSnapshot(path string) (*snapshot, error) {
 	return &s, nil
 }
 
+// index keys a snapshot's benchmarks by pkg/name.
 func index(s *snapshot) map[string]benchLine {
 	m := make(map[string]benchLine, len(s.Benchmarks))
 	for _, b := range s.Benchmarks {
@@ -414,25 +319,87 @@ func index(s *snapshot) map[string]benchLine {
 	return m
 }
 
-func parseOverrides(s string) (map[string]float64, error) {
+// nameIndex keys a snapshot's benchmarks by both the bare name and
+// pkg/name, the two spellings a gate entry may use.
+func nameIndex(s *snapshot) map[string]benchLine {
+	m := index(s)
+	for _, b := range s.Benchmarks {
+		m[b.Name] = b
+	}
+	return m
+}
+
+// splitLast splits a NAME=VALUE entry at the LAST '=': sub-benchmark names
+// contain '=' (BenchmarkAblationLPScaling/k=5, BenchmarkParallelQPP/workers=4).
+func splitLast(part string) (name, value string, ok bool) {
+	i := strings.LastIndex(part, "=")
+	if i < 0 {
+		return "", "", false
+	}
+	return part[:i], part[i+1:], true
+}
+
+func parseBands(s string) (map[string]float64, error) {
 	out := map[string]float64{}
 	if s == "" {
 		return out, nil
 	}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
-		// Split at the LAST '=': sub-benchmark names legitimately contain
-		// '=' (BenchmarkAblationLPScaling/k=5, BenchmarkParallelQPP/workers=4).
-		i := strings.LastIndex(part, "=")
-		if i < 0 {
-			return nil, fmt.Errorf("bad override entry %q (want name=fraction)", part)
+		name, frac, ok := splitLast(part)
+		if !ok {
+			return nil, fmt.Errorf("bad band entry %q (want name=fraction)", part)
 		}
-		name, frac := part[:i], part[i+1:]
 		f, err := strconv.ParseFloat(frac, 64)
 		if err != nil || f < 0 {
-			return nil, fmt.Errorf("bad override fraction %q in %q", frac, part)
+			return nil, fmt.Errorf("bad band fraction %q in %q", frac, part)
 		}
 		out[name] = f
+	}
+	return out, nil
+}
+
+func parseSpeedups(s string) ([]speedupGate, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var out []speedupGate
+	for _, part := range strings.Split(s, ",") {
+		fields := strings.Split(strings.TrimSpace(part), ":")
+		if len(fields) != 3 && len(fields) != 4 {
+			return nil, fmt.Errorf("bad -speedup entry %q (want SLOW:FAST:RATIO[:MINCPUS])", part)
+		}
+		g := speedupGate{slow: fields[0], fast: fields[1]}
+		var err error
+		if g.ratio, err = strconv.ParseFloat(fields[2], 64); err != nil || g.ratio <= 0 {
+			return nil, fmt.Errorf("bad -speedup ratio %q in %q", fields[2], part)
+		}
+		if len(fields) == 4 {
+			if g.minCPUs, err = strconv.Atoi(fields[3]); err != nil || g.minCPUs < 1 {
+				return nil, fmt.Errorf("bad -speedup MINCPUS %q in %q", fields[3], part)
+			}
+		}
+		out = append(out, g)
+	}
+	return out, nil
+}
+
+func parseMaxTimes(s string) ([]ceiling, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var out []ceiling
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		name, durStr, ok := splitLast(part)
+		if !ok {
+			return nil, fmt.Errorf("bad -max-time entry %q (want NAME=DURATION)", part)
+		}
+		dur, err := time.ParseDuration(durStr)
+		if err != nil || dur <= 0 {
+			return nil, fmt.Errorf("bad -max-time duration %q in %q", durStr, part)
+		}
+		out = append(out, ceiling{name, dur})
 	}
 	return out, nil
 }

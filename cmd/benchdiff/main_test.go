@@ -37,29 +37,110 @@ func diff(t *testing.T, args ...string) (int, string) {
 	return code, out.String()
 }
 
+// TestRegressionDetection runs one invocation carrying every gate kind.
+// The baseline NEW passes all of them; each mutation breaks exactly one
+// gate and must fail on its own, and all mutations together must report
+// every failure in one run.
 func TestRegressionDetection(t *testing.T) {
 	dir := t.TempDir()
-	old := writeSnap(t, dir, "old.json", []benchLine{
-		{Pkg: "quorumplace", Name: "BenchmarkA", NsPerOp: 100, AllocsPerOp: 5},
-		{Pkg: "quorumplace", Name: "BenchmarkB", NsPerOp: 100, AllocsPerOp: 5},
-	})
-	now := writeSnap(t, dir, "new.json", []benchLine{
-		{Pkg: "quorumplace", Name: "BenchmarkA", NsPerOp: 125, AllocsPerOp: 5}, // +25% ns
-		{Pkg: "quorumplace", Name: "BenchmarkB", NsPerOp: 105, AllocsPerOp: 5}, // within band
-	})
-
-	code, out := diff(t, old, now)
-	if code != 1 || !strings.Contains(out, "REGRESS") || !strings.Contains(out, "BenchmarkA") {
-		t.Fatalf("code %d, out:\n%s", code, out)
+	gates := []string{
+		"-allocs-threshold", "0.5",
+		"-metric", "p99_delay=0.02",
+		"-speedup", "BenchmarkQPP/workers=1:BenchmarkQPP/workers=4:1.8:4," +
+			"BenchmarkTick/mode=cold:BenchmarkTick/mode=warm:3.0," +
+			"BenchmarkQPP/workers=1:BenchmarkQPP/workers=8:7.5:16",
+		"-max-time", "BenchmarkTreeDP/nodes=100000=10s",
 	}
-	if !strings.Contains(out, "1 regressions") {
-		t.Fatalf("summary wrong:\n%s", out)
+	line := func(name string, ns, allocs float64, p99 float64) benchLine {
+		b := benchLine{Pkg: "quorumplace", Name: name, NsPerOp: ns, AllocsPerOp: allocs}
+		if p99 != 0 {
+			b.Extra = map[string]float64{"p99_delay": p99}
+		}
+		return b
+	}
+	good := func() []benchLine {
+		return []benchLine{
+			line("BenchmarkAlloc", 100, 10, 0),
+			line("BenchmarkE11", 100, 5, 4.0),
+			line("BenchmarkQPP/workers=1", 1000, 0, 0),
+			line("BenchmarkQPP/workers=4", 400, 0, 0),
+			line("BenchmarkQPP/workers=8", 900, 0, 0), // 1.1x, but the 16-CPU floor skips it
+			line("BenchmarkTick/mode=cold", 400, 0, 0),
+			line("BenchmarkTick/mode=warm", 100, 0, 0),
+			line("BenchmarkTreeDP/nodes=100000", 1e9, 0, 0),
+			line("BenchmarkGone", 100, 0, 0),
+		}
+	}
+	// benchLine marshals without Extra, so the metrics are written raw.
+	write := func(name string, lines []benchLine) string {
+		t.Helper()
+		type raw map[string]any
+		var bs []raw
+		for _, b := range lines {
+			r := raw{"pkg": b.Pkg, "name": b.Name, "iters": 1, "ns_per_op": b.NsPerOp, "allocs_per_op": b.AllocsPerOp}
+			for k, v := range b.Extra {
+				r[k] = v
+			}
+			bs = append(bs, r)
+		}
+		body, err := json.Marshal(map[string]any{"commit": "new", "benchtime": "1x", "maxprocs": 8, "benchmarks": bs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := write("base.json", good())
+
+	set := func(name string, f func(*benchLine)) func([]benchLine) []benchLine {
+		return func(ls []benchLine) []benchLine {
+			for i := range ls {
+				if ls[i].Name == name {
+					f(&ls[i])
+				}
+			}
+			return ls
+		}
+	}
+	mutations := []struct {
+		gate string
+		mut  func([]benchLine) []benchLine
+		want string
+	}{
+		{"allocs", set("BenchmarkAlloc", func(b *benchLine) { b.AllocsPerOp = 16 }), "REGRESS   quorumplace/BenchmarkAlloc"},
+		{"metric", set("BenchmarkE11", func(b *benchLine) { b.Extra["p99_delay"] = 4.5 }), "DRIFT     quorumplace/BenchmarkE11"},
+		{"speedup with CPU floor", set("BenchmarkQPP/workers=4", func(b *benchLine) { b.NsPerOp = 800 }),
+			"REGRESS   BenchmarkQPP/workers=1 / BenchmarkQPP/workers=4"},
+		{"speedup without CPU floor", set("BenchmarkTick/mode=warm", func(b *benchLine) { b.NsPerOp = 200 }),
+			"REGRESS   BenchmarkTick/mode=cold / BenchmarkTick/mode=warm"},
+		{"max-time", set("BenchmarkTreeDP/nodes=100000", func(b *benchLine) { b.NsPerOp = 12e9 }),
+			"REGRESS   BenchmarkTreeDP/nodes=100000 = 12s/op"},
+		{"missing benchmark", func(ls []benchLine) []benchLine { return ls[:len(ls)-1] }, "MISSING   quorumplace/BenchmarkGone"},
 	}
 
-	// A looser per-benchmark override waives the failure.
-	code, _ = diff(t, "-per", "BenchmarkA=0.30", old, now)
-	if code != 0 {
-		t.Fatalf("override not applied, code %d", code)
+	code, out := diff(t, append(gates, base, write("good.json", good()))...)
+	if code != 0 || !strings.Contains(out, "0 regressions") || !strings.Contains(out, "skipped   BenchmarkQPP/workers=1 / BenchmarkQPP/workers=8") {
+		t.Fatalf("passing snapshot: code %d:\n%s", code, out)
+	}
+	all := good()
+	for _, m := range mutations {
+		code, out := diff(t, append(gates, base, write("one.json", m.mut(good())))...)
+		if code != 1 || !strings.Contains(out, m.want) || !strings.Contains(out, "1 regressions") {
+			t.Errorf("%s alone: code %d, want 1 with %q and one regression:\n%s", m.gate, code, m.want, out)
+		}
+		all = m.mut(all)
+	}
+	code, out = diff(t, append(gates, base, write("all.json", all))...)
+	if code != 1 || !strings.Contains(out, "6 regressions") {
+		t.Fatalf("all gates broken: code %d, want 1 with 6 regressions:\n%s", code, out)
+	}
+	for _, m := range mutations {
+		if !strings.Contains(out, m.want) {
+			t.Errorf("combined run lost the %s failure %q:\n%s", m.gate, m.want, out)
+		}
 	}
 }
 
@@ -75,11 +156,6 @@ func TestAllocRegressionExact(t *testing.T) {
 	if code != 1 || !strings.Contains(out, "allocs/op") {
 		t.Fatalf("one extra alloc not flagged; code %d:\n%s", code, out)
 	}
-	// -ignore-ns still gates allocations.
-	code, _ = diff(t, "-ignore-ns", old, now)
-	if code != 1 {
-		t.Fatalf("-ignore-ns dropped the alloc gate, code %d", code)
-	}
 }
 
 func TestAllocsPerOverride(t *testing.T) {
@@ -94,13 +170,13 @@ func TestAllocsPerOverride(t *testing.T) {
 	})
 
 	// Global band too tight: the setup-heavy benchmark fails.
-	code, out := diff(t, "-ignore-ns", "-allocs-threshold", "0.5", old, now)
+	code, out := diff(t, "-allocs-threshold", "0.5", old, now)
 	if code != 1 || !strings.Contains(out, "BenchmarkSetupHeavy/k=5") {
 		t.Fatalf("amortized allocs growth not flagged; code %d:\n%s", code, out)
 	}
 
 	// A per-benchmark override waives only that benchmark.
-	code, out = diff(t, "-ignore-ns", "-allocs-threshold", "0.5",
+	code, out = diff(t, "-allocs-threshold", "0.5",
 		"-allocs-per", "BenchmarkSetupHeavy/k=5=1.0", old, now)
 	if code != 0 {
 		t.Fatalf("-allocs-per override not applied; code %d:\n%s", code, out)
@@ -111,7 +187,7 @@ func TestAllocsPerOverride(t *testing.T) {
 		{Pkg: "quorumplace", Name: "BenchmarkSetupHeavy/k=5", NsPerOp: 100, AllocsPerOp: 118},
 		{Pkg: "quorumplace", Name: "BenchmarkLean", NsPerOp: 100, AllocsPerOp: 9}, // +80%
 	})
-	code, out = diff(t, "-ignore-ns", "-allocs-threshold", "0.5",
+	code, out = diff(t, "-allocs-threshold", "0.5",
 		"-allocs-per", "BenchmarkSetupHeavy/k=5=1.0", old, now2)
 	if code != 1 || !strings.Contains(out, "BenchmarkLean") {
 		t.Fatalf("override leaked to other benchmarks; code %d:\n%s", code, out)
@@ -125,6 +201,8 @@ func TestAllocsPerOverride(t *testing.T) {
 	}
 }
 
+// TestIgnoreNSSkipsTimings pins that ns/op never gates BASE against NEW:
+// the two snapshots usually come from different machines.
 func TestIgnoreNSSkipsTimings(t *testing.T) {
 	dir := t.TempDir()
 	old := writeSnap(t, dir, "old.json", []benchLine{
@@ -133,52 +211,61 @@ func TestIgnoreNSSkipsTimings(t *testing.T) {
 	now := writeSnap(t, dir, "new.json", []benchLine{
 		{Pkg: "quorumplace", Name: "BenchmarkA", NsPerOp: 900, AllocsPerOp: 5}, // different machine
 	})
-	code, out := diff(t, "-ignore-ns", old, now)
-	if code != 0 {
+	code, out := diff(t, old, now)
+	if code != 0 || strings.Contains(out, "REGRESS") {
 		t.Fatalf("cross-machine ns/op delta failed the gate:\n%s", out)
 	}
 }
 
+// TestMissingAndNew pins that a benchmark in BASE but not in NEW fails the
+// gate: a benchmark that fails at runtime writes no result line, so it
+// drops out of the fresh snapshot. A benchmark only NEW has is noted.
 func TestMissingAndNew(t *testing.T) {
 	dir := t.TempDir()
 	old := writeSnap(t, dir, "old.json", []benchLine{
-		{Pkg: "quorumplace", Name: "BenchmarkGone", NsPerOp: 1, AllocsPerOp: 0},
+		{Pkg: "quorumplace", Name: "BenchmarkE11NetsimValidation", NsPerOp: 1, AllocsPerOp: 0},
+		{Pkg: "quorumplace", Name: "BenchmarkKept", NsPerOp: 1, AllocsPerOp: 0},
 	})
 	now := writeSnap(t, dir, "new.json", []benchLine{
+		{Pkg: "quorumplace", Name: "BenchmarkKept", NsPerOp: 1, AllocsPerOp: 0},
 		{Pkg: "quorumplace", Name: "BenchmarkFresh", NsPerOp: 1, AllocsPerOp: 0},
 	})
 	code, out := diff(t, old, now)
-	if code != 0 || !strings.Contains(out, "missing") || !strings.Contains(out, "new") {
-		t.Fatalf("code %d:\n%s", code, out)
+	if code != 1 || !strings.Contains(out, "MISSING   quorumplace/BenchmarkE11NetsimValidation") {
+		t.Fatalf("missing benchmark did not fail the gate, code %d:\n%s", code, out)
 	}
-	code, out = diff(t, "-require-all", old, now)
-	if code != 1 || !strings.Contains(out, "MISSING") {
-		t.Fatalf("-require-all did not gate, code %d:\n%s", code, out)
+	if !strings.Contains(out, "new       quorumplace/BenchmarkFresh") || !strings.Contains(out, "1 regressions, 1 new") {
+		t.Fatalf("new benchmark not noted:\n%s", out)
 	}
 }
 
 func TestSpeedupGate(t *testing.T) {
 	dir := t.TempDir()
+	// BASE's own ratio is flat: speedups read NEW only.
+	base := writeSnap(t, dir, "base.json", []benchLine{
+		{Pkg: "quorumplace", Name: "BenchmarkParallelQPP/workers=1", NsPerOp: 1000},
+		{Pkg: "quorumplace", Name: "BenchmarkParallelQPP/workers=4", NsPerOp: 1000},
+	})
 	snap := writeSnap(t, dir, "snap.json", []benchLine{
 		{Pkg: "quorumplace", Name: "BenchmarkParallelQPP/workers=1", NsPerOp: 1000},
 		{Pkg: "quorumplace", Name: "BenchmarkParallelQPP/workers=4", NsPerOp: 400},
 	})
 
 	// 1000/400 = 2.5x >= 1.8 passes.
-	code, out := diff(t, "-speedup", "BenchmarkParallelQPP/workers=1:BenchmarkParallelQPP/workers=4:1.8", snap)
+	code, out := diff(t, "-speedup", "BenchmarkParallelQPP/workers=1:BenchmarkParallelQPP/workers=4:1.8", base, snap)
 	if code != 0 || !strings.Contains(out, "2.50x") {
 		t.Fatalf("code %d:\n%s", code, out)
 	}
 
 	// 2.5x < 3.0 fails.
-	code, out = diff(t, "-speedup", "BenchmarkParallelQPP/workers=1:BenchmarkParallelQPP/workers=4:3.0", snap)
+	code, out = diff(t, "-speedup", "BenchmarkParallelQPP/workers=1:BenchmarkParallelQPP/workers=4:3.0", base, snap)
 	if code != 1 || !strings.Contains(out, "REGRESS") {
 		t.Fatalf("unmet ratio did not gate, code %d:\n%s", code, out)
 	}
 
 	// pkg-qualified names resolve too.
 	code, _ = diff(t, "-speedup",
-		"quorumplace/BenchmarkParallelQPP/workers=1:quorumplace/BenchmarkParallelQPP/workers=4:1.8", snap)
+		"quorumplace/BenchmarkParallelQPP/workers=1:quorumplace/BenchmarkParallelQPP/workers=4:1.8", base, snap)
 	if code != 0 {
 		t.Fatalf("pkg-qualified names rejected, code %d", code)
 	}
@@ -186,20 +273,27 @@ func TestSpeedupGate(t *testing.T) {
 
 func TestSpeedupMinCPUsSkip(t *testing.T) {
 	dir := t.TempDir()
-	// Recorded on a 1-CPU box: workers can't overlap, so the ratio is ~1x.
-	snap := writeSnapProcs(t, dir, "snap.json", 1, []benchLine{
+	lines := []benchLine{
 		{Pkg: "quorumplace", Name: "BenchmarkParallelQPP/workers=1", NsPerOp: 1000},
 		{Pkg: "quorumplace", Name: "BenchmarkParallelQPP/workers=4", NsPerOp: 1000},
-	})
-	code, out := diff(t, "-speedup", "BenchmarkParallelQPP/workers=1:BenchmarkParallelQPP/workers=4:1.8",
-		"-min-cpus", "4", snap)
+	}
+	// Recorded on a 1-CPU box: workers can't overlap, so the ratio is ~1x.
+	one := writeSnapProcs(t, dir, "one.json", 1, lines)
+	four := writeSnapProcs(t, dir, "four.json", 4, lines)
+	const floored = "BenchmarkParallelQPP/workers=1:BenchmarkParallelQPP/workers=4:1.8:4"
+	code, out := diff(t, "-speedup", floored, one, one)
 	if code != 0 || !strings.Contains(out, "skipped") {
 		t.Fatalf("1-CPU snapshot not skipped, code %d:\n%s", code, out)
 	}
-	// Without -min-cpus the flat ratio fails.
-	code, _ = diff(t, "-speedup", "BenchmarkParallelQPP/workers=1:BenchmarkParallelQPP/workers=4:1.8", snap)
+	// The floor reads NEW's maxprocs: met there, the flat ratio fails.
+	code, out = diff(t, "-speedup", floored, one, four)
+	if code != 1 || strings.Contains(out, "skipped") {
+		t.Fatalf("flat ratio at the CPU floor passed, code %d:\n%s", code, out)
+	}
+	// Without a floor the flat ratio fails even on one CPU.
+	code, _ = diff(t, "-speedup", "BenchmarkParallelQPP/workers=1:BenchmarkParallelQPP/workers=4:1.8", one, one)
 	if code != 1 {
-		t.Fatalf("flat ratio passed without -min-cpus, code %d", code)
+		t.Fatalf("flat ratio passed without a CPU floor, code %d", code)
 	}
 }
 
@@ -209,21 +303,25 @@ func TestSpeedupBadInputs(t *testing.T) {
 		{Pkg: "quorumplace", Name: "BenchmarkA", NsPerOp: 100},
 	})
 	var out bytes.Buffer
-	// Malformed spec.
-	if code, err := run([]string{"-speedup", "onlyonefield", snap}, &out, &out); err == nil || code != 2 {
-		t.Fatalf("bad spec accepted (code %d, err %v)", code, err)
+	for _, spec := range []string{
+		"onlyonefield",
+		"BenchmarkA:BenchmarkA:0",     // non-positive ratio
+		"BenchmarkA:BenchmarkA:1:0",   // non-positive CPU floor
+		"BenchmarkA:BenchmarkA:1:x",   // non-numeric CPU floor
+		"BenchmarkA:BenchmarkA:1:4:5", // too many fields
+	} {
+		if code, err := run([]string{"-speedup", spec, snap, snap}, &out, &out); err == nil || code != 2 {
+			t.Fatalf("bad spec %q accepted (code %d, err %v)", spec, code, err)
+		}
 	}
-	// Unknown benchmark.
-	if code, err := run([]string{"-speedup", "BenchmarkNope:BenchmarkA:2", snap}, &out, &out); err == nil || code != 2 {
-		t.Fatalf("unknown benchmark accepted (code %d, err %v)", code, err)
+	// The single-snapshot form is gone.
+	if code, err := run([]string{"-speedup", "BenchmarkA:BenchmarkA:1", snap}, &out, &out); err == nil || code != 2 {
+		t.Fatalf("one snapshot accepted (code %d, err %v)", code, err)
 	}
-	// Non-positive ratio.
-	if code, err := run([]string{"-speedup", "BenchmarkA:BenchmarkA:0", snap}, &out, &out); err == nil || code != 2 {
-		t.Fatalf("zero ratio accepted (code %d, err %v)", code, err)
-	}
-	// Two snapshot args in speedup mode.
-	if code, err := run([]string{"-speedup", "BenchmarkA:BenchmarkA:1", snap, snap}, &out, &out); err == nil || code != 2 {
-		t.Fatalf("two args accepted in -speedup mode (code %d, err %v)", code, err)
+	// A benchmark NEW lacks fails the gate.
+	code, got := diff(t, "-speedup", "BenchmarkNope:BenchmarkA:2", snap, snap)
+	if code != 1 || !strings.Contains(got, "MISSING   BenchmarkNope / BenchmarkA") {
+		t.Fatalf("unknown benchmark passed, code %d:\n%s", code, got)
 	}
 }
 
@@ -240,8 +338,8 @@ func TestBadInputs(t *testing.T) {
 	if code, err := run([]string{"one-arg-only"}, &out, &out); err == nil || code != 2 {
 		t.Fatalf("single arg accepted (code %d, err %v)", code, err)
 	}
-	if code, err := run([]string{"-per", "nonsense", empty, empty}, &out, &out); err == nil || code != 2 {
-		t.Fatalf("bad -per accepted (code %d, err %v)", code, err)
+	if code, err := run([]string{"-metric", "p99_delay=-1", empty, empty}, &out, &out); err == nil || code != 2 {
+		t.Fatalf("negative band accepted (code %d, err %v)", code, err)
 	}
 }
 
@@ -272,7 +370,7 @@ func TestMetricDriftGate(t *testing.T) {
 		]}`)
 
 	// 12.5% drift fails a 2% band even though ns/op and allocs are identical.
-	code, out := diff(t, "-ignore-ns", "-metric", "p99_delay=0.02", old, drifted)
+	code, out := diff(t, "-metric", "p99_delay=0.02", old, drifted)
 	if code != 1 || !strings.Contains(out, "DRIFT") || !strings.Contains(out, "p99_delay") {
 		t.Fatalf("code %d, out:\n%s", code, out)
 	}
@@ -281,12 +379,12 @@ func TestMetricDriftGate(t *testing.T) {
 		t.Fatalf("ungated metric compared:\n%s", out)
 	}
 	// A wide band passes, and the metric comparison is reported.
-	code, out = diff(t, "-ignore-ns", "-metric", "p99_delay=0.2", old, drifted)
+	code, out = diff(t, "-metric", "p99_delay=0.2", old, drifted)
 	if code != 0 || !strings.Contains(out, "p99_delay 4 -> 4.5") {
 		t.Fatalf("code %d, out:\n%s", code, out)
 	}
 	// Downward drift beyond the band also fails (determinism gate, not perf).
-	code, out = diff(t, "-ignore-ns", "-metric", "p99_delay=0.02", drifted, old)
+	code, out = diff(t, "-metric", "p99_delay=0.02", drifted, old)
 	if code != 1 || !strings.Contains(out, "DRIFT") {
 		t.Fatalf("downward drift not gated, code %d:\n%s", code, out)
 	}
@@ -304,7 +402,7 @@ func TestMetricMissingIsNote(t *testing.T) {
 		"benchmarks": [
 			{"pkg": "quorumplace", "name": "BenchmarkA", "iters": 10, "ns_per_op": 100, "allocs_per_op": 5, "p99_delay": 4}
 		]}`)
-	code, out := diff(t, "-ignore-ns", "-metric", "p99_delay=0.02", old, now)
+	code, out := diff(t, "-metric", "p99_delay=0.02", old, now)
 	if code != 0 {
 		t.Fatalf("one-sided metric gated, code %d:\n%s", code, out)
 	}
@@ -312,7 +410,7 @@ func TestMetricMissingIsNote(t *testing.T) {
 		t.Fatalf("missing-side note absent:\n%s", out)
 	}
 	// Metric absent on both sides: silent, still passing.
-	code, out = diff(t, "-ignore-ns", "-metric", "nonexistent=0.1", old, now)
+	code, out = diff(t, "-metric", "nonexistent=0.1", old, now)
 	if code != 0 || strings.Contains(out, "nonexistent") {
 		t.Fatalf("absent metric surfaced, code %d:\n%s", code, out)
 	}
@@ -331,42 +429,30 @@ func TestMaxTimeGate(t *testing.T) {
 	})
 
 	// 7.2s <= 10s passes; sub-benchmark names with '=' parse.
-	code, out := diff(t, "-max-time", "BenchmarkTreeDP/nodes=100000=10s", snap)
-	if code != 0 || !strings.Contains(out, "ok") {
+	code, out := diff(t, "-max-time", "BenchmarkTreeDP/nodes=100000=10s", snap, snap)
+	if code != 0 || !strings.Contains(out, "ok        BenchmarkTreeDP/nodes=100000 = 7.2s/op") {
 		t.Fatalf("code %d:\n%s", code, out)
 	}
 
 	// 7.2s > 5s fails.
-	code, out = diff(t, "-max-time", "BenchmarkTreeDP/nodes=100000=5s", snap)
+	code, out = diff(t, "-max-time", "BenchmarkTreeDP/nodes=100000=5s", snap, snap)
 	if code != 1 || !strings.Contains(out, "REGRESS") {
 		t.Fatalf("exceeded ceiling did not gate, code %d:\n%s", code, out)
 	}
 
-	// Composes with -speedup over the same snapshot: both must pass.
-	code, _ = diff(t,
-		"-speedup", "BenchmarkTreeDP/nodes=100000:BenchmarkA:2",
-		"-max-time", "BenchmarkTreeDP/nodes=100000=10s", snap)
-	if code != 0 {
-		t.Fatalf("composed gates failed, code %d", code)
-	}
-	code, _ = diff(t,
-		"-speedup", "BenchmarkTreeDP/nodes=100000:BenchmarkA:2",
-		"-max-time", "BenchmarkTreeDP/nodes=100000=5s", snap)
-	if code != 1 {
-		t.Fatalf("composed gates passed despite max-time breach, code %d", code)
+	// A ceiling on a benchmark NEW lacks fails the gate.
+	code, out = diff(t, "-max-time", "BenchmarkNope=1s", snap, snap)
+	if code != 1 || !strings.Contains(out, "MISSING   BenchmarkNope") {
+		t.Fatalf("unknown benchmark passed, code %d:\n%s", code, out)
 	}
 
 	var buf bytes.Buffer
 	// Malformed duration.
-	if code, err := run([]string{"-max-time", "BenchmarkA=verylong", snap}, &buf, &buf); err == nil || code != 2 {
+	if code, err := run([]string{"-max-time", "BenchmarkA=verylong", snap, snap}, &buf, &buf); err == nil || code != 2 {
 		t.Fatalf("bad duration accepted (code %d, err %v)", code, err)
 	}
-	// Unknown benchmark.
-	if code, err := run([]string{"-max-time", "BenchmarkNope=1s", snap}, &buf, &buf); err == nil || code != 2 {
-		t.Fatalf("unknown benchmark accepted (code %d, err %v)", code, err)
-	}
 	// Missing '='.
-	if code, err := run([]string{"-max-time", "nodelimiter", snap}, &buf, &buf); err == nil || code != 2 {
+	if code, err := run([]string{"-max-time", "nodelimiter", snap, snap}, &buf, &buf); err == nil || code != 2 {
 		t.Fatalf("missing delimiter accepted (code %d, err %v)", code, err)
 	}
 }

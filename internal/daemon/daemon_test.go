@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
+	"quorumplace/internal/check"
 	"quorumplace/internal/graph"
 	"quorumplace/internal/heat"
 	"quorumplace/internal/placement"
@@ -51,6 +54,27 @@ func newDaemon(t *testing.T, seed int64, cfg Config) *Daemon {
 	return d
 }
 
+// auditPlacement fails the test unless the daemon's current placement keeps
+// every node within twice its capacity, the Theorem 5.1 bound a re-plan's
+// rounding guarantees. Tests run it after every tick.
+func auditPlacement(t *testing.T, d *Daemon) {
+	t.Helper()
+	if err := check.AuditPlacement(d.ins, d.Placement(), 2); err != nil {
+		t.Fatalf("after tick %d: %v", len(d.Ticks()), err)
+	}
+}
+
+// tick runs one Tick and audits the placement it leaves.
+func tick(t *testing.T, d *Daemon) TickRecord {
+	t.Helper()
+	rec, err := d.Tick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	auditPlacement(t, d)
+	return rec
+}
+
 // skewObserve pushes a deterministic hot-spot workload (clients 0 and 1) into
 // the daemon so the live estimate drifts far from the uniform plan demand.
 func skewObserve(d *Daemon, accesses int) {
@@ -68,9 +92,7 @@ func TestDaemonDeterministicReplay(t *testing.T) {
 		d := newDaemon(t, 42, Config{Shards: 3, Lambda: 0.5})
 		for round := 0; round < 4; round++ {
 			skewObserve(d, 30)
-			if _, err := d.Tick(); err != nil {
-				t.Fatal(err)
-			}
+			tick(t, d)
 		}
 		// Fold in a run-local sketch, as the netsim pipeline does.
 		local := heat.New(heat.Options{})
@@ -81,9 +103,7 @@ func TestDaemonDeterministicReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		for round := 0; round < 4; round++ {
-			if _, err := d.Tick(); err != nil {
-				t.Fatal(err)
-			}
+			tick(t, d)
 		}
 		return d.Ticks(), d.Placement().Map()
 	}
@@ -104,11 +124,7 @@ func TestDaemonIdleWithoutDrift(t *testing.T) {
 	d := newDaemon(t, 7, Config{Shards: 2, Lambda: 1})
 	before := d.Placement().Map()
 	for i := 0; i < 5; i++ {
-		rec, err := d.Tick()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Alerted || rec.Shard != -1 || len(rec.Moves) != 0 {
+		if rec := tick(t, d); rec.Alerted || rec.Shard != -1 || len(rec.Moves) != 0 {
 			t.Fatalf("tick %d re-planned without drift: %+v", i, rec)
 		}
 	}
@@ -135,10 +151,7 @@ func TestDaemonAlertCycle(t *testing.T) {
 
 	// The cycle: exactly k consecutive re-planning ticks, round-robin shards.
 	for i := 0; i < k; i++ {
-		rec, err := d.Tick()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := tick(t, d)
 		if !rec.Alerted && i == 0 {
 			t.Fatalf("tick %d: alert did not trip (TV=%v)", i, rec.DriftTV)
 		}
@@ -156,20 +169,8 @@ func TestDaemonAlertCycle(t *testing.T) {
 	if rep.TV >= 0.2 {
 		t.Fatalf("drift did not re-base after cycle: TV=%v", rep.TV)
 	}
-	rec, err := d.Tick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Alerted || rec.Shard != -1 {
+	if rec := tick(t, d); rec.Alerted || rec.Shard != -1 {
 		t.Fatalf("post-cycle tick still re-planning: %+v", rec)
-	}
-
-	// The composed placement must stay within the rounding guarantee.
-	loads := d.cfg.Instance.NodeLoads(d.Placement())
-	for v, l := range loads {
-		if l > 2*d.cfg.Instance.Cap[v] {
-			t.Fatalf("node %d load %v exceeds 2·cap %v", v, l, d.cfg.Instance.Cap[v])
-		}
 	}
 }
 
@@ -209,10 +210,7 @@ func TestDaemonAlwaysReplanWarm(t *testing.T) {
 	d := newDaemon(t, 13, Config{Shards: k, Lambda: 0.5, AlwaysReplan: true})
 	skewObserve(d, 60)
 	for i := 0; i < 2*k; i++ {
-		rec, err := d.Tick()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := tick(t, d)
 		wantWarm := i >= k // second visit of each shard
 		if rec.Warm != wantWarm {
 			t.Fatalf("tick %d warm=%v, want %v", i, rec.Warm, wantWarm)
@@ -222,11 +220,7 @@ func TestDaemonAlwaysReplanWarm(t *testing.T) {
 		}
 	}
 	d.ResetWarm()
-	rec, err := d.Tick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Warm {
+	if rec := tick(t, d); rec.Warm {
 		t.Fatal("tick after ResetWarm still reused a basis")
 	}
 }
@@ -325,6 +319,7 @@ func TestDaemonHTTP(t *testing.T) {
 	if resp := postJSON("/tick", nil, &rec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /tick: %s", resp.Status)
 	}
+	auditPlacement(t, d)
 	if rec.Seq != 0 || rec.Shard != 0 {
 		t.Fatalf("first tick over HTTP: %+v", rec)
 	}
@@ -356,6 +351,7 @@ func TestDaemonHTTP(t *testing.T) {
 		t.Fatalf("ticks doc: %+v", ticks)
 	}
 	postJSON("/tick", nil, nil)
+	auditPlacement(t, d)
 	getJSON("/ticks?last=1", &ticks)
 	if len(ticks) != 1 || ticks[0].Seq != 1 {
 		t.Fatalf("ticks?last=1: %+v", ticks)
@@ -383,5 +379,52 @@ func TestDaemonHTTP(t *testing.T) {
 	}
 	if resp := postJSON("/status", nil, nil); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /status: %s", resp.Status)
+	}
+}
+
+// TestObserveRejectsHostileInput pins the /observe boundary: the sketch
+// grows its dense counters to the largest index it sees, so one 44-byte
+// request naming client 2²⁴ used to allocate hundreds of megabytes. Any bad
+// entry now rejects the whole batch with 400 before anything is ingested,
+// and oversized bodies are cut off.
+func TestObserveRejectsHostileInput(t *testing.T) {
+	d := newDaemon(t, 21, Config{Shards: 2, Lambda: 0.5})
+	h := d.Handler()
+	post := func(path, body string) *httptest.ResponseRecorder {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return w
+	}
+	if w := post("/observe", `[{"at":0.5,"client":1,"nodes":[0,3]}]`); w.Code != http.StatusOK {
+		t.Fatalf("valid batch: %d %s", w.Code, w.Body)
+	}
+	before := len(d.sketch.ClientTotals())
+	for _, tc := range []struct{ body, entry string }{
+		{`[{"at":0.5,"client":16777216,"nodes":[0]}]`, "entry 0: client 16777216"},
+		{`[{"at":0.5,"client":1,"nodes":[0]},{"at":0.5,"client":-1,"nodes":[0]}]`, "entry 1: client -1"},
+		{`[{"at":0.5,"client":1,"nodes":[0,8]}]`, "entry 0: node 8"},
+		{`[{"at":0.5,"client":1,"nodes":[-2]}]`, "entry 0: node -2"},
+		{`[{"at":1e308,"client":1,"nodes":[0]}]`, "entry 0: at = 1e+308"},
+		{`[{"at":-1,"client":1,"nodes":[0]}]`, "entry 0: at = -1"},
+	} {
+		w := post("/observe", tc.body)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), tc.entry) {
+			t.Errorf("POST /observe %s: %d %q, want 400 naming %q", tc.body, w.Code, w.Body, tc.entry)
+		}
+	}
+	if got := len(d.sketch.ClientTotals()); got != before {
+		t.Fatalf("rejected batches grew the client totals from %d to %d", before, got)
+	}
+	if got := d.sketch.Accesses(); got != 1 {
+		t.Fatalf("rejected batches ingested accesses: %d, want 1", got)
+	}
+	// Bodies past the limit are rejected before they are decoded in full.
+	huge := strings.Repeat(" ", 2<<20)
+	if w := post("/observe", huge+"[]"); w.Code != http.StatusBadRequest {
+		t.Fatalf("oversized /observe body: %d", w.Code)
+	}
+	if w := post("/lambda", huge+`{"lambda":1}`); w.Code != http.StatusBadRequest {
+		t.Fatalf("oversized /lambda body: %d", w.Code)
 	}
 }

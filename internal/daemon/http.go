@@ -29,6 +29,10 @@ type PlacementDoc struct {
 	Nodes []int `json:"nodes"` // element → node
 }
 
+// maxBodyBytes bounds every POST body. An /observe batch is one epoch's
+// accesses at about 50 bytes each, so a megabyte leaves ample room.
+const maxBodyBytes = 1 << 20
+
 // observeReq is one POST /observe body entry.
 type observeReq struct {
 	At     float64 `json:"at"`
@@ -66,7 +70,9 @@ func (d *Daemon) Status() Status {
 //	GET  /ticks      tick log ([]TickRecord), ?last=N for a suffix
 //	POST /tick       run one tick, respond with its TickRecord
 //	POST /lambda     {"lambda": x} retune the movement weight
-//	POST /observe    [{"at":t,"client":u,"nodes":[...]}, ...] ingest accesses
+//	POST /observe    [{"at":t,"client":u,"nodes":[...]}, ...] ingest accesses;
+//	                 400 and nothing ingested if any index is outside the
+//	                 instance or any time is negative or out of epoch range
 //	GET  /metrics    Prometheus text exposition (internal/obs/export)
 //	GET  /metrics.json
 func (d *Daemon) Handler() http.Handler {
@@ -132,7 +138,7 @@ func (d *Daemon) Handler() http.Handler {
 		var body struct {
 			Lambda float64 `json:"lambda"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&body); err != nil {
 			http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -147,16 +153,45 @@ func (d *Daemon) Handler() http.Handler {
 			return
 		}
 		var body []observeReq
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&body); err != nil {
 			http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		for _, o := range body {
-			d.Observe(o.At, o.Client, o.Nodes)
+		if err := d.observeBatch(body); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 		writeJSON(w, map[string]int{"ingested": len(body)})
 	})
 	return mux
+}
+
+// observeBatch validates a whole /observe batch against the instance, then
+// ingests it; a batch with a bad entry ingests nothing. The sketch grows its
+// dense counters to the largest client or node index it sees, so an
+// unchecked index allocates as much as the sender asks for, and a time
+// whose epoch index passes int64 would overflow it.
+func (d *Daemon) observeBatch(batch []observeReq) error {
+	n := d.ins.M.N()
+	base, epochLen := d.Now(), d.sketch.EpochLen()
+	for i, o := range batch {
+		if o.Client < 0 || o.Client >= n {
+			return fmt.Errorf("entry %d: client %d outside [0, %d)", i, o.Client, n)
+		}
+		for _, v := range o.Nodes {
+			if v < 0 || v >= n {
+				return fmt.Errorf("entry %d: node %d outside [0, %d)", i, v, n)
+			}
+		}
+		// Written so that NaN, which fails every comparison, is rejected.
+		if !(o.At >= 0 && (base+o.At)/epochLen < 0x1p63) {
+			return fmt.Errorf("entry %d: at = %v must be finite, non-negative and within the int64 epoch range", i, o.At)
+		}
+	}
+	for _, o := range batch {
+		d.sketch.Observe(base+o.At, o.Client, o.Nodes)
+	}
+	return nil
 }
 
 // Serve binds addr (port 0 picks a free port) and serves the control API

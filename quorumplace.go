@@ -434,11 +434,11 @@ func FormatSimSLOWindows(windows []SimSLOWindow) string {
 // placement was solved for. Attach one per run via SimConfig.Heat.
 type HeatSketch = heat.Sketch
 
-// HeatOptions configures a HeatSketch (epoch length, EWMA half-life,
-// optional space-saving heavy-hitter capacity).
+// HeatOptions configures a HeatSketch (epoch length, EWMA half-life).
 type HeatOptions = heat.Options
 
-// HeatTopEntry is one heavy hitter with its count and overestimate bound.
+// HeatTopEntry is one heavy hitter: a client or node index and its exact
+// count.
 type HeatTopEntry = heat.TopEntry
 
 // HeatDriftReport is the total-variation drift of a live demand estimate

@@ -1,17 +1,20 @@
 #!/bin/sh
-# Benchmark harness: runs the experiment benchmarks (E1-E19), the ablation
+# Benchmark harness: runs the experiment benchmarks (E1-E16), the ablation
 # benchmarks and the LP substrate micro-benchmarks with a fixed -benchtime,
-# and writes the parsed results as BENCH_<utc-date><suffix>.json so
-# successive PRs leave a perf trajectory in the repo.
+# and writes the parsed results as BENCH_<utc-date><suffix>.json. The
+# latest committed snapshot is the baseline scripts/check.sh gates a fresh
+# run against with cmd/benchdiff.
 #
 # Usage:
 #   scripts/bench.sh [suffix]        # e.g. scripts/bench.sh -baseline
-#   BENCHTIME=0.1s scripts/bench.sh  # shorter runs (CI smoke uses 0.05s)
+#   BENCHTIME=0.1s scripts/bench.sh  # shorter runs (check.sh uses 0.05s)
 #   OUT=/dev/stdout scripts/bench.sh # print instead of writing a file
 #
 # Every benchmark line is recorded with its iteration count, ns/op,
 # B/op, allocs/op and any custom metrics the benchmark reports
-# (pivots/op, augments/op, events/sec, ...). Run from the repo root.
+# (pivots/op, augments/op, events/sec, ...). A benchmark that fails makes
+# the script exit nonzero without writing a snapshot. Run from the repo
+# root.
 set -eu
 
 BENCHTIME="${BENCHTIME:-0.5s}"
@@ -21,15 +24,23 @@ OUT="${OUT:-BENCH_${DATE}${SUFFIX}.json}"
 PATTERN="${PATTERN:-^(BenchmarkE[0-9]|BenchmarkAblation|BenchmarkTelemetryOverhead|BenchmarkParallel|BenchmarkSolve|BenchmarkWorkspace|BenchmarkShard|BenchmarkLogHist|BenchmarkScalingClients|BenchmarkMetricBuild|BenchmarkTreeDP|BenchmarkHeat|BenchmarkDrift|BenchmarkDaemon)}"
 PKGS="${PKGS:-. ./internal/lp ./internal/obs ./internal/heat ./internal/daemon}"
 COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-# GOMAXPROCS of this run; benchdiff -min-cpus keys off it so parallel-scaling
-# gates only fire on machines with enough cores for the workers to overlap.
+# GOMAXPROCS of this run; a benchdiff -speedup entry's CPU floor keys off it
+# so parallel-scaling gates only fire on machines with enough cores for the
+# workers to overlap.
 MAXPROCS="${GOMAXPROCS:-$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)}"
 
 raw=$(mktemp)
-trap 'rm -f "$raw"' EXIT
+status=$(mktemp)
+trap 'rm -f "$raw" "$status"' EXIT
 
+# A pipeline exits with tee's status and POSIX sh has no pipefail, so go
+# test's status travels through a file.
 # shellcheck disable=SC2086 # PKGS is intentionally word-split
-go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" $PKGS | tee "$raw"
+{ go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" $PKGS || echo $? >"$status"; } | tee "$raw"
+if [ -s "$status" ]; then
+    echo "bench.sh: go test exited $(cat "$status"); no snapshot written" >&2
+    exit 1
+fi
 
 awk -v date="$DATE" -v benchtime="$BENCHTIME" -v commit="$COMMIT" -v maxprocs="$MAXPROCS" '
 BEGIN {
@@ -54,14 +65,3 @@ END { printf "\n  ]\n}\n" }
 ' "$raw" >"$OUT"
 
 echo "wrote $OUT"
-
-# Archive a timestamped copy so ad-hoc runs leave a local perf history even
-# when the canonical BENCH_<date>.json is overwritten. NO_ARCHIVE=1 skips
-# (check.sh and CI smoke runs set it — their throwaway snapshots would
-# pollute the archive).
-if [ "${NO_ARCHIVE:-0}" != "1" ] && [ "$OUT" != "/dev/stdout" ]; then
-    mkdir -p bench-archive
-    STAMP=$(date -u +%Y-%m-%dT%H%M%S)
-    cp "$OUT" "bench-archive/BENCH_${STAMP}-${COMMIT}.json"
-    echo "archived bench-archive/BENCH_${STAMP}-${COMMIT}.json"
-fi
