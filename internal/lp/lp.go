@@ -280,8 +280,10 @@ type warmState struct {
 }
 
 // ResetWarm discards the workspace's retained basis so the next SolveHot
-// falls back to a cold solve. Benchmarks use it to isolate the cold path;
-// it is never required for correctness.
+// falls back to a cold solve. Benchmarks use it to isolate the cold path,
+// and callers that need a warm history fixed by their own input call it
+// at each chain's start (placement's QPP sweep does, so its results do not
+// depend on the worker count); a warm solve is optimal either way.
 func (ws *Workspace) ResetWarm() {
 	ws.warm.valid = false
 	ws.warm.prob = nil

@@ -164,3 +164,23 @@ func TestQPPParallelMatchesSequentialWithExactDP(t *testing.T) {
 		t.Fatalf("parallel/sequential divergence with the DP fast path:\n  sequential %+v\n  parallel   %+v", seq, par)
 	}
 }
+
+// On the exact-DP route no source reaches the LP, so the parallel sweep
+// must not build an LP skeleton — the instance's model cache stays empty —
+// and has nothing to warm-start, so every source is a claimable run of its
+// own.
+func TestQPPParallelExactDPBuildsNoLPModel(t *testing.T) {
+	ins := bigTreeInstance(t, 70, 9)
+	if !ins.exactDPAuto() {
+		t.Fatal("test instance must be gate-eligible")
+	}
+	if runLen, runs := ins.sourceRuns(); runLen != 1 || runs != ins.M.N() {
+		t.Fatalf("DP-routed sweep cut into %d runs of %d, want %d of 1", runs, runLen, ins.M.N())
+	}
+	if _, err := SolveQPPParallel(ins, 2, 3); err != nil {
+		t.Fatal(err)
+	}
+	if m := ins.models.Load(); m != nil && len(*m) > 0 {
+		t.Fatalf("DP-routed sweep built %d LP skeleton(s)", len(*m))
+	}
+}

@@ -18,11 +18,16 @@ import (
 //
 // The parallel path is shaped to keep workers off shared state:
 //
-//  1. prebuild — every skeleton class count the sources induce is built
-//     up-front, so workers only ever take the lock-free read path of the
-//     model cache and never serialize on Instance.modelMu;
-//  2. fan-out — workers claim chunked index ranges off one atomic counter
-//     (no per-item channel handoff, no send/recv wakeup per source);
+//  1. prebuild — on the LP route, every skeleton class count the sources
+//     induce is built up-front, so workers only ever take the lock-free read
+//     path of the model cache and never serialize on Instance.modelMu (the
+//     exact-DP route skips it: a source the DP fails on builds lazily);
+//  2. fan-out — sources are cut into fixed runs (sourceRuns), and workers
+//     claim whole runs off one atomic counter. One solver walks a run in
+//     ascending order, warm-starting each LP from its predecessor's optimal
+//     basis; every run starts cold. The runs depend on the instance alone,
+//     so each source's warm history — and hence its LP solution — is the
+//     same at every worker count, including the sequential walk;
 //  3. reduce — each worker folds its sources into a private qppPartial
 //     (including the AvgMaxDelay evaluation of each candidate placement),
 //     and the partials are merged deterministically at the end.
@@ -31,6 +36,31 @@ import (
 // the smaller source id — is associative and commutative, so the merge
 // order cannot change the result and sequential and parallel solvers
 // return identical placements and bounds.
+
+// sourceRunLen is the length of the warm-start runs on the LP route. Each
+// run pays one cold LP solve and is one unit of claimable parallel work,
+// so the length trades the two. A warm solve costs 1–2% of a cold one on
+// unit-capacity networks, so runs of 4 already remove about three quarters
+// of the LP work; longer runs would save at most the last quarter but
+// leave fewer, less even units for the pool. On the broom of
+// BenchmarkParallelQPP (n = 25) the runs' cold-solve pivots differ by up
+// to 3×: counted in pivots, its 7 runs of 4 let 4 workers reach a 2.6×
+// speedup, where 5 runs of 5 would cap them at 1.8×.
+const sourceRunLen = 4
+
+// sourceRuns cuts sources 0…n−1 into the consecutive runs the QPP sweep
+// walks (the last may be shorter). On the exact-DP route no source reaches
+// the LP unless the DP fails, so there is nothing to warm-start and each
+// source is a run of its own. The cut depends on the instance only, never
+// on the worker count, which is what keeps the sweep's results
+// worker-count invariant.
+func (ins *Instance) sourceRuns() (runLen, runs int) {
+	runLen = sourceRunLen
+	if ins.exactDPAuto() {
+		runLen = 1
+	}
+	return runLen, (ins.M.N() + runLen - 1) / runLen
+}
 
 // qppPartial folds per-source SSQPP outcomes. Its accumulate/merge rule
 // reproduces the sequential ascending-v0 scan exactly: strictly smaller
@@ -96,6 +126,7 @@ func solveQPP(ins *Instance, alpha float64, workers int, parent *obs.Span) (*QPP
 	}
 	obs.Count("placement.qpp_sources", int64(n))
 
+	runLen, runs := ins.sourceRuns()
 	var total qppPartial
 	total.init()
 	if workers <= 1 {
@@ -104,18 +135,12 @@ func solveQPP(ins *Instance, alpha float64, workers int, parent *obs.Span) (*QPP
 		// handles; only the skeleton builds are shared through the instance
 		// cache.
 		sv := newSSQPPSolver(ins)
-		for v0 := 0; v0 < n; v0++ {
-			res, err := sv.solve(v0, alpha)
-			total.add(ins, alpha, v0, res, err)
+		for r := 0; r < runs; r++ {
+			sv.solveRun(r, runLen, alpha, &total)
 		}
 	} else {
-		ins.prebuildSSQPPModels()
-		// Chunks of a few sources amortize the atomic claim without
-		// sacrificing balance: ~4 claims per worker keeps the tail short
-		// even when per-source solve times vary.
-		chunk := n / (workers * 4)
-		if chunk < 1 {
-			chunk = 1
+		if !ins.exactDPAuto() {
+			ins.prebuildSSQPPModels()
 		}
 		partials := make([]qppPartial, workers)
 		shards := make([]*obs.Shard, workers)
@@ -132,18 +157,11 @@ func solveQPP(ins *Instance, alpha float64, workers int, parent *obs.Span) (*QPP
 				sv := newSSQPPSolver(ins)
 				sv.setRec(sh.Rec())
 				for {
-					lo := int(next.Add(int64(chunk))) - chunk
-					if lo >= n {
+					r := int(next.Add(1)) - 1
+					if r >= runs {
 						return
 					}
-					hi := lo + chunk
-					if hi > n {
-						hi = n
-					}
-					for v0 := lo; v0 < hi; v0++ {
-						res, err := sv.solve(v0, alpha)
-						p.add(ins, alpha, v0, res, err)
-					}
+					sv.solveRun(r, runLen, alpha, p)
 				}
 			}(&partials[w], shards[w])
 		}
@@ -169,16 +187,28 @@ func solveQPP(ins *Instance, alpha float64, workers int, parent *obs.Span) (*QPP
 	}, nil
 }
 
+// solveRun solves the sources of run r (see sourceRuns) in ascending order
+// and folds them into p. The run starts cold; every later LP solve
+// re-enters phase 2 from the previous source's optimal basis whenever
+// SolveHot can absorb the edit.
+func (sv *ssqppSolver) solveRun(r, runLen int, alpha float64, p *qppPartial) {
+	sv.ws.ResetWarm()
+	for v0 := r * runLen; v0 < min((r+1)*runLen, sv.ins.M.N()); v0++ {
+		res, err := sv.solve(v0, alpha)
+		p.add(sv.ins, alpha, v0, res, err)
+	}
+}
+
 // SolveQPPParallel is SolveQPP with the per-source SSQPP solves spread
 // across workers goroutines (0 = GOMAXPROCS). The result is identical to
 // SolveQPP's for the same instance and α.
 func SolveQPPParallel(ins *Instance, alpha float64, workers int) (*QPPResult, error) {
-	n := ins.M.N()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
+	// More workers than runs would idle: a run is the unit of claimed work.
+	if _, runs := ins.sourceRuns(); workers > runs {
+		workers = runs
 	}
 	// Each worker records through its own obs.Shard parented under this
 	// span, so the merged trace shows one placement.qpp_worker subtree per

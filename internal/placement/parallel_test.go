@@ -1,8 +1,10 @@
 package placement_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,51 +45,102 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestParallelDifferential pins the parallel solver to the sequential one
-// bit-for-bit across many randomized instances, every worker count the
-// chunked fan-out exercises, and both telemetry states (the telemetry-on
-// path takes the lock-free obs counter/model-cache branches, so it gets its
-// own column). The reduction over per-source results is associative and
-// tie-broken identically to the sequential scan, so equality here is exact
-// (==), not within a tolerance.
+// bit-for-bit across many randomized instances, every worker count, and
+// both telemetry states (the telemetry-on path takes the lock-free obs
+// counter/model-cache branches, so it gets its own column). The reduction
+// over per-source results is associative and tie-broken identically to the
+// sequential scan, and each source's warm LP history is fixed by its source
+// run, so equality here is exact (==), not within a tolerance — and so are
+// the LP work counters across worker counts.
+//
+// The random instances give nodes heterogeneous capacities, so the
+// constraint-(13) forbidden set changes from source to source and most LP
+// solves fall back to cold. The plan-shaped instances — random-geometric
+// WANs with unit capacities, like the plan benchmark's LP route — keep the
+// class count and the forbidden set fixed, so their runs chain warm solves,
+// and the test requires that they do. Their LPs are the slow ones, so they
+// run with telemetry on only: that column compares results bit for bit
+// too, and adds the counter check.
 func TestParallelDifferential(t *testing.T) {
 	const trials = 50
 	rng := rand.New(rand.NewSource(811))
 	for trial := 0; trial < trials; trial++ {
-		ins := randomInstance(t, rng)
-		seq, seqErr := placement.SolveQPP(ins, 2)
-		for _, telemetry := range []bool{false, true} {
+		diffParallel(t, fmt.Sprintf("trial %d", trial), randomInstance(t, rng), false, true)
+	}
+	prng := rand.New(rand.NewSource(823))
+	for _, c := range []struct {
+		sys *quorum.System
+		n   int
+	}{{quorum.Grid(3), 14}, {quorum.Majority(5, 3), 22}} {
+		m := mustMetric(t, graph.RandomGeometric(c.n, 0.4, prng))
+		ins, err := placement.NewInstance(m, uniformCaps(c.n, 1), c.sys, quorum.Uniform(c.sys.NumQuorums()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%s on %d nodes", c.sys.Name(), c.n)
+		if work := diffParallel(t, name, ins, true); work[1] == 0 {
+			t.Fatalf("%s: no warm LP solve among %d", name, work[0])
+		}
+	}
+}
+
+// lpWork names the LP work counters of a QPP solve. They depend only on
+// the source runs, so they must not move with the worker count.
+var lpWork = []string{"lp.solves", "lp.hot_solves", "lp.pivots"}
+
+// diffParallel checks SolveQPPParallel at workers 1…8 against SolveQPP bit
+// for bit, in each of the given telemetry states. With telemetry on, each
+// solve records into a fresh collector and its lpWork counters must equal
+// those at workers 1. It returns the workers-1 counters (nil if telemetry
+// was never on).
+func diffParallel(t *testing.T, name string, ins *placement.Instance, telemetryStates ...bool) []int64 {
+	t.Helper()
+	seq, seqErr := placement.SolveQPP(ins, 2)
+	var work []int64
+	for _, telemetry := range telemetryStates {
+		for workers := 1; workers <= 8; workers++ {
+			var c *obs.Collector
 			if telemetry {
-				obs.Enable(nil)
+				c = obs.Enable(nil)
 			}
-			for workers := 2; workers <= 8; workers++ {
-				par, parErr := placement.SolveQPPParallel(ins, 2, workers)
-				if (seqErr == nil) != (parErr == nil) {
-					t.Fatalf("trial %d workers %d telemetry %v: err %v vs %v",
-						trial, workers, telemetry, parErr, seqErr)
-				}
-				if seqErr != nil {
-					if parErr.Error() != seqErr.Error() {
-						t.Fatalf("trial %d workers %d: error %q vs %q", trial, workers, parErr, seqErr)
-					}
-					continue
-				}
-				if par.BestV0 != seq.BestV0 || par.AvgMaxDelay != seq.AvgMaxDelay ||
-					par.RelayBound != seq.RelayBound || par.MaxLPBound != seq.MaxLPBound {
-					t.Fatalf("trial %d workers %d telemetry %v: result %+v vs %+v",
-						trial, workers, telemetry, par, seq)
-				}
-				for u := 0; u < ins.Sys.Universe(); u++ {
-					if par.Placement.Node(u) != seq.Placement.Node(u) {
-						t.Fatalf("trial %d workers %d: element %d placed at %d vs %d",
-							trial, workers, u, par.Placement.Node(u), seq.Placement.Node(u))
-					}
-				}
-			}
+			par, parErr := placement.SolveQPPParallel(ins, 2, workers)
 			if telemetry {
 				obs.Disable()
+				snap := c.Snapshot()
+				got := make([]int64, len(lpWork))
+				for i, k := range lpWork {
+					got[i] = snap.Counter(k)
+				}
+				if work == nil {
+					work = got
+				} else if !slices.Equal(got, work) {
+					t.Fatalf("%s workers %d: %v = %v, want %v as at workers 1", name, workers, lpWork, got, work)
+				}
+			}
+			if (seqErr == nil) != (parErr == nil) {
+				t.Fatalf("%s workers %d telemetry %v: err %v vs %v",
+					name, workers, telemetry, parErr, seqErr)
+			}
+			if seqErr != nil {
+				if parErr.Error() != seqErr.Error() {
+					t.Fatalf("%s workers %d: error %q vs %q", name, workers, parErr, seqErr)
+				}
+				continue
+			}
+			if par.BestV0 != seq.BestV0 || par.AvgMaxDelay != seq.AvgMaxDelay ||
+				par.RelayBound != seq.RelayBound || par.MaxLPBound != seq.MaxLPBound {
+				t.Fatalf("%s workers %d telemetry %v: result %+v vs %+v",
+					name, workers, telemetry, par, seq)
+			}
+			for u := 0; u < ins.Sys.Universe(); u++ {
+				if par.Placement.Node(u) != seq.Placement.Node(u) {
+					t.Fatalf("%s workers %d: element %d placed at %d vs %d",
+						name, workers, u, par.Placement.Node(u), seq.Placement.Node(u))
+				}
 			}
 		}
 	}
+	return work
 }
 
 func TestParallelEmptyNetwork(t *testing.T) {
@@ -167,10 +220,12 @@ func TestParallelSpanAttribution(t *testing.T) {
 	if paths["placement.qpp_parallel"] != 1 {
 		t.Fatalf("qpp_parallel roots = %d, paths = %v", paths["placement.qpp_parallel"], paths)
 	}
-	if got := paths["placement.qpp_parallel/placement.qpp_worker"]; got != workers {
-		t.Fatalf("worker spans = %d, want %d", got, workers)
-	}
+	// The pool is clamped to the number of source runs: this LP-routed
+	// instance is cut into runs of 4.
 	n := ins.M.N()
+	if want := min(workers, (n+3)/4); paths["placement.qpp_parallel/placement.qpp_worker"] != want {
+		t.Fatalf("worker spans = %d, want %d", paths["placement.qpp_parallel/placement.qpp_worker"], want)
+	}
 	deep := "placement.qpp_parallel/placement.qpp_worker/placement.ssqpp"
 	if got := paths[deep]; got != n {
 		t.Fatalf("per-source pipelines under workers = %d, want %d (paths %v)", got, n, paths)

@@ -1,11 +1,13 @@
 package placement
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"quorumplace/internal/graph"
+	"quorumplace/internal/obs"
 	"quorumplace/internal/quorum"
 )
 
@@ -104,36 +106,109 @@ func TestSSQPPPrefixMatchesLegacyLP(t *testing.T) {
 		if math.Abs(got.obj-want.obj) > 1e-6 {
 			t.Fatalf("trial %d: Z* mismatch: prefix %.9f, legacy %.9f", trial, got.obj, want.obj)
 		}
-		// The extracted solution must satisfy (10): unit mass per element.
-		n := ins.M.N()
-		for u := 0; u < ins.Sys.Universe(); u++ {
-			mass := 0.0
-			for s := 0; s < n; s++ {
-				mass += got.xu[s][u]
-			}
-			if math.Abs(mass-1) > 1e-6 {
-				t.Fatalf("trial %d: element %d mass %.9f", trial, u, mass)
-			}
-		}
-		// And (12)/(13) per rank: capacity respected, forbidden ranks empty.
-		for s := 0; s < n; s++ {
-			capS := ins.Cap[got.order[s]]
-			load := 0.0
-			for u := 0; u < ins.Sys.Universe(); u++ {
-				load += ins.loads[u] * got.xu[s][u]
-				if ins.loads[u] > capS*(1+capTol) && got.xu[s][u] > 1e-9 {
-					t.Fatalf("trial %d: rank %d carries forbidden element %d", trial, s, u)
-				}
-			}
-			if load > capS*(1+1e-6)+1e-6 {
-				t.Fatalf("trial %d: rank %d load %.9f exceeds cap %.9f", trial, s, load, capS)
-			}
-		}
+		checkFracFeasible(t, fmt.Sprintf("trial %d", trial), ins, got)
 	}
 	if agreeInfeasible == trials {
 		t.Fatalf("all %d trials infeasible; the differential test exercised nothing", trials)
 	}
 	t.Logf("%d trials, %d infeasible on both sides", trials, agreeInfeasible)
+}
+
+// checkFracFeasible requires the extracted fractional solution to be a
+// point of the paper's LP: (10) unit mass per element, and (12)/(13) per
+// rank — capacity respected, forbidden ranks empty.
+func checkFracFeasible(t *testing.T, name string, ins *Instance, frac *ssqppFrac) {
+	t.Helper()
+	n := ins.M.N()
+	for u := 0; u < ins.Sys.Universe(); u++ {
+		mass := 0.0
+		for s := 0; s < n; s++ {
+			mass += frac.xu[s][u]
+		}
+		if math.Abs(mass-1) > 1e-6 {
+			t.Fatalf("%s: element %d mass %.9f", name, u, mass)
+		}
+	}
+	for s := 0; s < n; s++ {
+		capS := ins.Cap[frac.order[s]]
+		load := 0.0
+		for u := 0; u < ins.Sys.Universe(); u++ {
+			load += ins.loads[u] * frac.xu[s][u]
+			if ins.loads[u] > capS*(1+capTol) && frac.xu[s][u] > 1e-9 {
+				t.Fatalf("%s: rank %d carries forbidden element %d", name, s, u)
+			}
+		}
+		if load > capS*(1+1e-6)+1e-6 {
+			t.Fatalf("%s: rank %d load %.9f exceeds cap %.9f", name, s, load, capS)
+		}
+	}
+}
+
+// TestWarmRunsMatchColdLPOptimum walks every fixed source run with one
+// solver, as the QPP sweep does, so each LP after a run's first may
+// re-enter phase 2 from its predecessor's basis. A warm solve may end on
+// another vertex of the optimal face than a cold one, but it must be a
+// feasible point with the cold optimum Z*: every source's objective is
+// compared with a fresh cold solveSSQPPLP. The plan-shaped instances
+// (random-geometric WANs, unit capacities) chain warm solves; the random
+// ones mostly fall back to cold.
+func TestWarmRunsMatchColdLPOptimum(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	var instances []*Instance
+	for _, c := range []struct {
+		sys *quorum.System
+		n   int
+	}{{quorum.Grid(3), 14}, {quorum.Majority(5, 3), 27}} {
+		m, err := graph.NewMetricFromGraph(graph.RandomGeometric(c.n, 0.4, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps := make([]float64, c.n)
+		for v := range caps {
+			caps[v] = 1
+		}
+		ins, err := NewInstance(m, caps, c.sys, quorum.Uniform(c.sys.NumQuorums()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		instances = append(instances, ins)
+	}
+	for trial := 0; trial < 30; trial++ {
+		instances = append(instances, randomDiffInstance(t, rng))
+	}
+
+	c := obs.Enable(obs.NewCollector())
+	defer obs.Disable()
+	solves := 0
+	for k, ins := range instances {
+		n := ins.M.N()
+		runLen, _ := ins.sourceRuns()
+		sv := newSSQPPSolver(ins)
+		for lo := 0; lo < n; lo += runLen {
+			sv.ws.ResetWarm()
+			for v0 := lo; v0 < min(lo+runLen, n); v0++ {
+				name := fmt.Sprintf("instance %d v0=%d", k, v0)
+				warm, warmErr := sv.solveLP(v0)
+				cold, coldErr := solveSSQPPLP(ins, v0)
+				if (warmErr == nil) != (coldErr == nil) {
+					t.Fatalf("%s: warm err %v, cold err %v", name, warmErr, coldErr)
+				}
+				if warmErr != nil {
+					continue
+				}
+				if math.Abs(warm.obj-cold.obj) > 1e-9*math.Abs(cold.obj) {
+					t.Fatalf("%s: warm Z* %.17g, cold %.17g", name, warm.obj, cold.obj)
+				}
+				checkFracFeasible(t, name, ins, warm)
+				solves++
+			}
+		}
+	}
+	hot := c.Snapshot().Counter("lp.hot_solves")
+	if hot == 0 {
+		t.Fatalf("no warm solve among %d", solves)
+	}
+	t.Logf("%d solves over %d instances, %d warm", solves, len(instances), hot)
 }
 
 // TestSSQPPPrefixMatchesLegacyOnStructured runs the same cross-check on the

@@ -78,7 +78,9 @@ import (
 // every solve re-costs a clone with SetCost/SetRHS/SetFixed: SolveQPP's n
 // per-source solves share a handful of builds (often just one), and each
 // worker of the parallel solver re-costs its own clones of the shared
-// skeletons.
+// skeletons. Because only costs, capacity right-hand sides and fixed flags
+// change, consecutive sources on one clone can warm-start from each
+// other's optimal basis (lp.SolveHot).
 
 // ssqppModel is the source-independent SSQPP LP skeleton over C classes.
 type ssqppModel struct {
@@ -95,7 +97,8 @@ type ssqppModel struct {
 // source and every solve. Cache hits are lock-free — one atomic pointer load
 // plus a read of an immutable map — so concurrent workers never serialize on
 // modelMu once the skeletons exist (SolveQPPParallel pre-builds them before
-// fanning out); misses take the mutex and publish a copy-on-write map.
+// fanning out on the LP route); misses take the mutex and publish a
+// copy-on-write map.
 func (ins *Instance) ssqppModelFor(nClasses int) (*ssqppModel, error) {
 	if m := ins.models.Load(); m != nil {
 		if mdl, ok := (*m)[nClasses]; ok {
@@ -390,7 +393,10 @@ func (sv *ssqppSolver) setRec(r obs.Rec) {
 
 // solveLP solves the SSQPP relaxation for source v0 against the (cached)
 // class-space skeleton, returning the fractional solution in node-rank
-// space. The returned frac's order and dist slices alias the solver's
+// space. The solve goes through SolveHot, so it re-enters phase 2 from the
+// optimal basis of this solver's previous solve when that solve used the
+// same clone and the edit can be absorbed (see solveRun); otherwise it is
+// cold. The returned frac's order and dist slices alias the solver's
 // scratch and are valid until the next solveLP call on this solver.
 func (sv *ssqppSolver) solveLP(v0 int) (*ssqppFrac, error) {
 	sp := sv.rec.Start("ssqpp.lp")
@@ -424,7 +430,7 @@ func (sv *ssqppSolver) solveLP(v0 int) (*ssqppFrac, error) {
 		sv.probs[nClasses] = prob
 	}
 	mdl.configure(prob, ins, classDist, classCap, classSize)
-	sol, err := prob.SolveWith(sv.ws)
+	sol, _, err := prob.SolveHot(sv.ws)
 	if err != nil {
 		return nil, fmt.Errorf("placement: SSQPP LP for v0=%d: %w", v0, err)
 	}
