@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -13,6 +14,16 @@ import (
 // (universe 16, 32 nodes) with a single shard, so every tick re-solves the
 // full shard LP — the shape both benchmark modes share.
 func benchDaemon(b *testing.B) *Daemon {
+	d := newBenchDaemon(b)
+	// A deterministic hot-spot so the tick has real drift to chew on.
+	for i := 0; i < 64; i++ {
+		d.Observe(0.1*float64(i), i%3, []int{i % 16})
+	}
+	return d
+}
+
+// newBenchDaemon builds benchDaemon's daemon before any observation.
+func newBenchDaemon(b *testing.B) *Daemon {
 	b.Helper()
 	rng := rand.New(rand.NewSource(99))
 	n := 32
@@ -43,10 +54,6 @@ func benchDaemon(b *testing.B) *Daemon {
 	})
 	if err != nil {
 		b.Fatal(err)
-	}
-	// A deterministic hot-spot so the tick has real drift to chew on.
-	for i := 0; i < 64; i++ {
-		d.Observe(0.1*float64(i), i%3, []int{i % 16})
 	}
 	return d
 }
@@ -96,4 +103,42 @@ func BenchmarkDaemonTick(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkDaemonUptime measures one tick after a long uptime, on
+// benchDaemon's instance in steady-state repair mode. Set-up observes the
+// given number of epochs, four accesses each, through Observe alone and
+// runs one untimed tick; each timed iteration observes the next epoch and
+// ticks. The heat sketch folds at most its window of epochs per read, so
+// the CI speedup gate holds a tick at 10⁵ epochs to 1.25× one at 10.
+func BenchmarkDaemonUptime(b *testing.B) {
+	nodes := make([][]int, 16)
+	for v := range nodes {
+		nodes[v] = []int{v}
+	}
+	observeEpoch := func(d *Daemon, e int) {
+		for j := 0; j < 4; j++ {
+			i := 4*e + j
+			d.Observe(float64(e)+(float64(j)+0.5)/4, i%3, nodes[i%16])
+		}
+	}
+	for _, epochs := range []int{10, 1000, 100000} {
+		b.Run(fmt.Sprintf("epochs=%d", epochs), func(b *testing.B) {
+			d := newBenchDaemon(b)
+			for e := 0; e < epochs; e++ {
+				observeEpoch(d, e)
+			}
+			if _, err := d.Tick(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				observeEpoch(d, epochs+i)
+				if _, err := d.Tick(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

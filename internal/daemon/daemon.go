@@ -16,6 +16,11 @@
 // Everything is deterministic under a fixed seed and virtual clock: ticks
 // record no wall-clock state (tick latency goes to telemetry only), so a
 // replayed run produces bitwise-identical tick logs.
+//
+// A tick's cost and the daemon's memory do not grow with uptime: each tick
+// reads the sketch's EWMA rates once, the sketch keeps raw counts only for
+// its window of recent epochs, and the tick log keeps the newest maxTicks
+// records.
 package daemon
 
 import (
@@ -36,6 +41,10 @@ const (
 	DefaultDriftThreshold = 0.1
 	DefaultMinLiveWeight  = 1.0
 )
+
+// maxTicks is how many tick records the log keeps; older ones are
+// overwritten.
+const maxTicks = 4096
 
 // Config configures a Daemon.
 type Config struct {
@@ -114,7 +123,11 @@ type Daemon struct {
 
 	lambda    float64
 	epochBase int64 // ingestion offset, in epochs
-	ticks     []TickRecord
+	window    int64 // the sketch's raw-cell window, in epochs
+	// ticks is a ring of the newest maxTicks records: tick s sits at
+	// s % maxTicks. It grows by append until it is full.
+	ticks  []TickRecord
+	nticks int // ticks recorded since New
 
 	// lastTickSec is the wall-clock duration of the most recent tick. It
 	// feeds /status and telemetry only — never TickRecord — so replayed
@@ -185,7 +198,21 @@ func New(cfg Config) (*Daemon, error) {
 		shards:     shards,
 		planners:   planners,
 		lambda:     cfg.Lambda,
+		window:     heatWindow(cfg.Heat.HalfLife),
 	}, nil
+}
+
+// heatWindow is the raw-cell window heat.New gives a sketch with half-life
+// hl: ⌈8·hl⌉ epochs, where hl ≤ 0 means heat's default half-life of 8.
+func heatWindow(hl float64) int64 {
+	if hl <= 0 {
+		hl = 8
+	}
+	w := math.Ceil(8 * hl)
+	if !(w < 1<<62) {
+		w = 1 << 62
+	}
+	return int64(w)
 }
 
 // Shards returns the number of placement shards.
@@ -216,12 +243,20 @@ func (d *Daemon) Placement() placement.Placement {
 	return placement.NewPlacement(d.cur)
 }
 
-// Ticks returns a copy of the tick log.
+// Ticks returns a copy of the retained tick log, the newest maxTicks
+// records, oldest first.
 func (d *Daemon) Ticks() []TickRecord {
+	return d.lastTicks(maxTicks)
+}
+
+// lastTicks copies the newest n retained tick records, oldest first.
+func (d *Daemon) lastTicks(n int) []TickRecord {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]TickRecord, len(d.ticks))
-	copy(out, d.ticks)
+	out := make([]TickRecord, min(n, len(d.ticks)))
+	for i := range out {
+		out[i] = d.ticks[(d.nticks-len(out)+i)%maxTicks]
+	}
 	return out
 }
 
@@ -264,18 +299,18 @@ func (d *Daemon) IngestSketch(run *heat.Sketch) error {
 }
 
 // Drift returns the recent-drift report of the live demand estimate
-// against the demand the running placement is planned for.
+// against the demand the running placement is planned for. Like every
+// rate read it holds d.mu, so it cannot seal epochs under an /observe
+// batch that observeBatch has validated but not yet ingested.
 func (d *Daemon) Drift() (*heat.DriftReport, error) {
 	d.mu.Lock()
-	plan := d.planDemand
-	d.mu.Unlock()
-	return d.sketch.RecentDrift(plan)
+	defer d.mu.Unlock()
+	return d.sketch.RecentDrift(d.planDemand)
 }
 
-// liveRates returns the sketch's EWMA client rates padded (or truncated)
-// to the instance's client count.
-func (d *Daemon) liveRates() []float64 {
-	rates := d.sketch.ClientRates()
+// padRates pads (or truncates) EWMA client rates to the instance's client
+// count.
+func (d *Daemon) padRates(rates []float64) []float64 {
 	n := d.ins.M.N()
 	if len(rates) > n {
 		rates = rates[:n]
@@ -300,15 +335,17 @@ func (d *Daemon) Tick() (TickRecord, error) {
 	defer sp.End()
 	obs.Count("daemon.ticks", 1)
 
-	rec := TickRecord{Seq: len(d.ticks), Now: d.now(), Shard: -1}
+	rec := TickRecord{Seq: d.nticks, Now: d.now(), Shard: -1}
 
-	rep, err := d.sketch.RecentDrift(d.planDemand)
+	// One rate read feeds both the drift score and the live demand.
+	rates := d.sketch.ClientRates()
+	rep, err := heat.Drift(rates, d.planDemand)
 	if err != nil {
 		return rec, fmt.Errorf("daemon: drift: %w", err)
 	}
 	rec.DriftTV, rec.LiveWeight = rep.TV, rep.LiveWeight
 
-	live := d.liveRates()
+	live := d.padRates(rates)
 	alerted := rep.TV >= d.cfg.DriftThreshold && rep.LiveWeight >= d.cfg.MinLiveWeight
 	rec.Alerted = alerted
 	if alerted && d.cycleLeft == 0 {
@@ -348,7 +385,16 @@ func (d *Daemon) Tick() (TickRecord, error) {
 	}
 	rec.AvgDelay = d.ins.AvgTotalDelay(placement.NewPlacement(d.cur))
 
-	d.ticks = append(d.ticks, rec)
+	if len(d.ticks) < maxTicks {
+		if len(d.ticks) == cap(d.ticks) && 2*cap(d.ticks) > maxTicks {
+			// The last growth step: allocate the full ring, no more.
+			d.ticks = append(make([]TickRecord, 0, maxTicks), d.ticks...)
+		}
+		d.ticks = append(d.ticks, rec)
+	} else {
+		d.ticks[d.nticks%maxTicks] = rec
+	}
+	d.nticks++
 	obs.Observe("daemon.tick_moves", float64(len(rec.Moves)))
 	return rec, nil
 }

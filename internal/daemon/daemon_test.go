@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -419,6 +420,19 @@ func TestObserveRejectsHostileInput(t *testing.T) {
 	if got := d.sketch.Accesses(); got != 1 {
 		t.Fatalf("rejected batches ingested accesses: %d, want 1", got)
 	}
+	// An entry more than the heat window (64 epochs by default) behind the
+	// newest epoch could land in an epoch a read has sealed: the batch is
+	// refused whole, its in-window first entry included.
+	if w := post("/observe", `[{"at":100.5,"client":1,"nodes":[0]}]`); w.Code != http.StatusOK {
+		t.Fatalf("valid batch: %d %s", w.Code, w.Body)
+	}
+	stale := `[{"at":101.5,"client":1,"nodes":[0]},{"at":30.5,"client":1,"nodes":[0]}]`
+	if w := post("/observe", stale); w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "entry 1: at = 30.5") {
+		t.Errorf("POST /observe %s: %d %q, want 400 naming entry 1", stale, w.Code, w.Body)
+	}
+	if got := d.sketch.Accesses(); got != 2 {
+		t.Fatalf("a batch with a stale entry ingested accesses: %d, want 2", got)
+	}
 	// Bodies past the limit are rejected before they are decoded in full.
 	huge := strings.Repeat(" ", 2<<20)
 	if w := post("/observe", huge+"[]"); w.Code != http.StatusBadRequest {
@@ -426,5 +440,86 @@ func TestObserveRejectsHostileInput(t *testing.T) {
 	}
 	if w := post("/lambda", huge+`{"lambda":1}`); w.Code != http.StatusBadRequest {
 		t.Fatalf("oversized /lambda body: %d", w.Code)
+	}
+}
+
+// TestObserveWindowMatchesSketch pins the daemon's window to the sketch's:
+// after a read, an /observe entry exactly W epochs behind the newest epoch
+// is accepted and counted in the rates, and one a further epoch back is
+// refused, because the read sealed its epoch.
+func TestObserveWindowMatchesSketch(t *testing.T) {
+	for _, hl := range []float64{0, 1, 2.5} {
+		d := newDaemon(t, 21, Config{Heat: heat.Options{HalfLife: hl}})
+		w := heatWindow(hl)
+		newest := 3 * w
+		if err := d.observeBatch([]observeReq{{At: float64(newest) + 0.5, Client: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		tick(t, d) // a rate read: seals every epoch before newest−W
+		edge := []observeReq{{At: float64(newest-w) + 0.5, Client: 0}}
+		if err := d.observeBatch(edge); err != nil {
+			t.Fatalf("half-life %v: entry W = %d epochs back refused: %v", hl, w, err)
+		}
+		if d.sketch.Late() != 0 || d.sketch.ClientRates()[0] == 0 {
+			t.Fatalf("half-life %v: the entry W epochs back missed the rates", hl)
+		}
+		if err := d.observeBatch([]observeReq{{At: float64(newest-w) - 0.5, Client: 0}}); err == nil {
+			t.Fatalf("half-life %v: entry W+1 epochs back accepted", hl)
+		}
+		d.sketch.Observe(float64(newest-w)-0.5, 0, nil)
+		if d.sketch.Late() != 1 {
+			t.Fatalf("half-life %v: the epoch W+1 back is not sealed; the daemon's window is off", hl)
+		}
+	}
+}
+
+// TestTickLogRing checks the tick log keeps the newest maxTicks records in
+// order while Seq and Status.Ticks keep counting, and that GET /ticks
+// parses ?last= strictly.
+func TestTickLogRing(t *testing.T) {
+	d := newDaemon(t, 5, Config{Shards: 2, Lambda: 0.5})
+	const total = 5000
+	for i := 0; i < total; i++ {
+		if _, err := d.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ticks := d.Ticks()
+	if len(ticks) != maxTicks {
+		t.Fatalf("%d records retained, want %d", len(ticks), maxTicks)
+	}
+	for i, rec := range ticks {
+		if want := total - maxTicks + i; rec.Seq != want {
+			t.Fatalf("record %d has Seq %d, want %d", i, rec.Seq, want)
+		}
+	}
+	if st := d.Status(); st.Ticks != total {
+		t.Fatalf("status counts %d ticks, want %d", st.Ticks, total)
+	}
+	if cap(d.ticks) != maxTicks {
+		t.Fatalf("ring capacity %d, want %d", cap(d.ticks), maxTicks)
+	}
+
+	h := d.Handler()
+	get := func(query string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/ticks"+query, nil))
+		return w
+	}
+	for _, n := range []int{0, 1, 16, maxTicks, total} {
+		w := get("?last=" + strconv.Itoa(n))
+		var got []TickRecord
+		if err := json.Unmarshal(w.Body.Bytes(), &got); w.Code != http.StatusOK || err != nil {
+			t.Fatalf("GET /ticks?last=%d: %d %v", n, w.Code, err)
+		}
+		want := ticks[len(ticks)-min(n, maxTicks):]
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("GET /ticks?last=%d: %d records, want the newest %d", n, len(got), len(want))
+		}
+	}
+	for _, q := range []string{"?last=16abc", "?last=-1", "?last=1.5", "?last=+"} {
+		if w := get(q); w.Code != http.StatusBadRequest {
+			t.Errorf("GET /ticks%s: %d, want 400", q, w.Code)
+		}
 	}
 }

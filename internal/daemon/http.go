@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"quorumplace/internal/obs/export"
 )
@@ -15,8 +16,8 @@ type Status struct {
 	Shards          int     `json:"shards"`
 	NextShard       int     `json:"next_shard"`
 	Lambda          float64 `json:"lambda"`
-	Ticks           int     `json:"ticks"`
-	Now             float64 `json:"now"` // virtual time
+	Ticks           int     `json:"ticks"` // every tick since start-up, retained or not
+	Now             float64 `json:"now"`   // virtual time
 	DriftTV         float64 `json:"drift_tv"`
 	LiveWeight      float64 `json:"live_weight"`
 	PendingShards   int     `json:"pending_shards"` // shards left in the active re-plan cycle
@@ -48,7 +49,7 @@ func (d *Daemon) Status() Status {
 		Shards:          len(d.shards),
 		NextShard:       d.next,
 		Lambda:          d.lambda,
-		Ticks:           len(d.ticks),
+		Ticks:           d.nticks,
 		Now:             d.now(),
 		PendingShards:   d.cycleLeft,
 		LastTickSeconds: d.lastTickSec,
@@ -56,8 +57,8 @@ func (d *Daemon) Status() Status {
 	if rep, err := d.sketch.RecentDrift(d.planDemand); err == nil {
 		st.DriftTV, st.LiveWeight = rep.TV, rep.LiveWeight
 	}
-	if n := len(d.ticks); n > 0 {
-		st.AvgDelay = d.ticks[n-1].AvgDelay
+	if d.nticks > 0 {
+		st.AvgDelay = d.ticks[(d.nticks-1)%maxTicks].AvgDelay
 	}
 	return st
 }
@@ -67,12 +68,14 @@ func (d *Daemon) Status() Status {
 //	GET  /status     control-plane summary (Status)
 //	GET  /placement  current placement (PlacementDoc)
 //	GET  /drift      recent-drift report (heat.DriftReport)
-//	GET  /ticks      tick log ([]TickRecord), ?last=N for a suffix
+//	GET  /ticks      retained tick log ([]TickRecord, the newest 4096),
+//	                 ?last=N for the newest N
 //	POST /tick       run one tick, respond with its TickRecord
 //	POST /lambda     {"lambda": x} retune the movement weight
 //	POST /observe    [{"at":t,"client":u,"nodes":[...]}, ...] ingest accesses;
 //	                 400 and nothing ingested if any index is outside the
-//	                 instance or any time is negative or out of epoch range
+//	                 instance, any time is negative or out of epoch range,
+//	                 or any time is older than the heat window
 //	GET  /metrics    Prometheus text exposition (internal/obs/export)
 //	GET  /metrics.json
 func (d *Daemon) Handler() http.Handler {
@@ -107,18 +110,15 @@ func (d *Daemon) Handler() http.Handler {
 		if !allowMethod(w, r, http.MethodGet) {
 			return
 		}
-		ticks := d.Ticks()
+		n := maxTicks
 		if s := r.URL.Query().Get("last"); s != "" {
-			var n int
-			if _, err := fmt.Sscanf(s, "%d", &n); err != nil || n < 0 {
+			var err error
+			if n, err = strconv.Atoi(s); err != nil || n < 0 {
 				http.Error(w, "last must be a non-negative integer", http.StatusBadRequest)
 				return
 			}
-			if n < len(ticks) {
-				ticks = ticks[len(ticks)-n:]
-			}
 		}
-		writeJSON(w, ticks)
+		writeJSON(w, d.lastTicks(n))
 	})
 	mux.HandleFunc("/tick", func(w http.ResponseWriter, r *http.Request) {
 		if !allowMethod(w, r, http.MethodPost) {
@@ -170,10 +170,17 @@ func (d *Daemon) Handler() http.Handler {
 // ingests it; a batch with a bad entry ingests nothing. The sketch grows its
 // dense counters to the largest client or node index it sees, so an
 // unchecked index allocates as much as the sender asks for, and a time
-// whose epoch index passes int64 would overflow it.
+// whose epoch index passes int64 would overflow it. An entry more than the
+// sketch's window behind its newest epoch could land in an epoch a rate
+// read has sealed, where it would be left out of the rates. Validation and
+// ingest hold d.mu, as every rate read does, so no read seals an epoch in
+// between.
 func (d *Daemon) observeBatch(batch []observeReq) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	n := d.ins.M.N()
-	base, epochLen := d.Now(), d.sketch.EpochLen()
+	base, epochLen := d.now(), d.sketch.EpochLen()
+	newest, ok := d.sketch.MaxEpoch()
 	for i, o := range batch {
 		if o.Client < 0 || o.Client >= n {
 			return fmt.Errorf("entry %d: client %d outside [0, %d)", i, o.Client, n)
@@ -184,8 +191,13 @@ func (d *Daemon) observeBatch(batch []observeReq) error {
 			}
 		}
 		// Written so that NaN, which fails every comparison, is rejected.
-		if !(o.At >= 0 && (base+o.At)/epochLen < 0x1p63) {
+		x := (base + o.At) / epochLen
+		if !(o.At >= 0 && x < 0x1p63) {
 			return fmt.Errorf("entry %d: at = %v must be finite, non-negative and within the int64 epoch range", i, o.At)
+		}
+		if e := int64(x); ok && e < newest-d.window {
+			return fmt.Errorf("entry %d: at = %v falls in epoch %d, more than %d epochs behind the newest epoch %d",
+				i, o.At, e, d.window, newest)
 		}
 	}
 	for _, o := range batch {

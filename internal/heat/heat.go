@@ -22,11 +22,25 @@
 // commutative). Derived floating-point views (Rates, Drift) are computed
 // at read time by folding epochs in ascending index order, so equal state
 // implies bitwise-equal reads.
+//
+// Raw cells are kept only for a window of W = ⌈8·HalfLife⌉ epochs, by
+// which time an epoch's weight has halved eight times. A rate read first seals every
+// epoch more than W behind the newest one: it folds those cells once, in
+// ascending order, into a stored EWMA checkpoint and drops them; then it
+// folds the at most W+1 window cells onto a copy of the checkpoint. These
+// are the float operations of one sorted fold over every epoch, in the same
+// order, so a read is bitwise equal to that fold whenever every write lands
+// within W epochs of the newest epoch at the previous read — and a sketch
+// read only after all writes (a netsim shard, an experiment's sketch) is
+// exactly the unwindowed sketch. A write into a sealed epoch is late: it
+// counts in the exact totals and in Late, but not in the rates. A sketch
+// with sealed epochs cannot be a Merge source.
 package heat
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -39,12 +53,17 @@ type Options struct {
 	EpochLen float64
 	// HalfLife is the EWMA half-life in epochs: an epoch's weight halves
 	// every HalfLife epochs of virtual time. ≤ 0 means the default of 8.
+	// Raw epoch cells are kept for ⌈8·HalfLife⌉ epochs (see the package
+	// doc).
 	HalfLife float64
 }
 
 const (
 	defaultEpochLen = 1.0
 	defaultHalfLife = 8.0
+	// windowHalfLives is W in half-lives: an epoch W epochs behind the
+	// newest weighs 2⁻⁸ of what it weighed as the newest.
+	windowHalfLives = 8
 )
 
 // epochCell holds the exact per-client and per-node counts of one epoch.
@@ -53,14 +72,30 @@ type epochCell struct {
 	nodes   []int64 // messages received, by node
 }
 
+// checkpoint is the EWMA fold of every sealed epoch: the rates the sorted
+// fold holds right after its last sealed epoch.
+type checkpoint struct {
+	clients []float64
+	nodes   []float64
+	last    int64 // index of the last sealed epoch with observations
+	epochs  int   // sealed epochs with observations; 0 means empty
+}
+
 // Sketch accumulates an access stream into mergeable workload sketches.
 // It is safe for concurrent use.
 type Sketch struct {
 	epochLen float64
 	halfLife float64
+	lambda   float64 // per-epoch decay: weight halves every halfLife epochs
+	window   int64   // W: epochs kept raw behind the newest one
 
 	mu           sync.Mutex
-	epochs       map[int64]*epochCell
+	epochs       map[int64]*epochCell // raw cells of the unsealed epochs
+	ckpt         checkpoint
+	sealed       int64      // every epoch below this index is sealed
+	maxEpoch     int64      // newest epoch holding observations
+	late         int64      // accesses written into sealed epochs
+	keys         []int64    // read scratch: the window's epoch indices
 	lastIdx      int64      // cache: epoch index of the most recent Observe
 	lastCell     *epochCell // cache: its cell (stream times are near-monotone)
 	accesses     int64
@@ -79,10 +114,18 @@ func New(o Options) *Sketch {
 	if o.HalfLife <= 0 {
 		o.HalfLife = defaultHalfLife
 	}
+	w := math.Ceil(windowHalfLives * o.HalfLife)
+	if !(w < 1<<62) { // so huge that nothing ever seals
+		w = 1 << 62
+	}
 	return &Sketch{
 		epochLen: o.EpochLen,
 		halfLife: o.HalfLife,
+		lambda:   math.Pow(0.5, 1/o.HalfLife),
+		window:   int64(w),
 		epochs:   make(map[int64]*epochCell),
+		sealed:   math.MinInt64,
+		maxEpoch: math.MinInt64,
 		lastIdx:  math.MinInt64,
 	}
 }
@@ -95,28 +138,46 @@ func grow(s []int64, i int) []int64 {
 	return s
 }
 
+// cell returns epoch idx's raw cell, creating it if needed, or nil when
+// the epoch is sealed. Callers hold s.mu.
+func (s *Sketch) cell(idx int64) *epochCell {
+	if idx < s.sealed {
+		return nil
+	}
+	c := s.epochs[idx]
+	if c == nil {
+		c = &epochCell{}
+		s.epochs[idx] = c
+		s.maxEpoch = max(s.maxEpoch, idx)
+	}
+	return c
+}
+
 // Observe folds one access into the sketch: client issued an access at
 // virtual time at whose messages hit the given nodes (one entry per
 // contacted quorum member; duplicates count once per message, matching
 // netsim's NodeHits). Accesses are attributed to the epoch of their issue
-// time — that is when the load lands on the nodes.
+// time — that is when the load lands on the nodes. Negative clients and
+// times that are negative, NaN or past the int64 epoch range are dropped.
 func (s *Sketch) Observe(at float64, client int, nodes []int) {
-	if client < 0 || at < 0 || math.IsNaN(at) {
+	x := at / s.epochLen
+	// Written so that NaN, which fails every comparison, is dropped.
+	if client < 0 || !(at >= 0) || !(x < 0x1p63) {
 		return
 	}
-	idx := int64(at / s.epochLen)
+	idx := int64(x)
 	s.mu.Lock()
 	cell := s.lastCell
 	if cell == nil || idx != s.lastIdx {
-		cell = s.epochs[idx]
-		if cell == nil {
-			cell = &epochCell{}
-			s.epochs[idx] = cell
-		}
+		cell = s.cell(idx)
 		s.lastIdx, s.lastCell = idx, cell
 	}
-	cell.clients = grow(cell.clients, client)
-	cell.clients[client]++
+	if cell != nil {
+		cell.clients = grow(cell.clients, client)
+		cell.clients[client]++
+	} else {
+		s.late++
+	}
 	s.clientTotals = grow(s.clientTotals, client)
 	s.clientTotals[client]++
 	s.accesses++
@@ -124,8 +185,10 @@ func (s *Sketch) Observe(at float64, client int, nodes []int) {
 		if v < 0 {
 			continue
 		}
-		cell.nodes = grow(cell.nodes, v)
-		cell.nodes[v]++
+		if cell != nil {
+			cell.nodes = grow(cell.nodes, v)
+			cell.nodes[v]++
+		}
 		s.nodeTotals = grow(s.nodeTotals, v)
 		s.nodeTotals[v]++
 		s.messages++
@@ -147,11 +210,20 @@ func (s *Sketch) Messages() int64 {
 	return s.messages
 }
 
-// Epochs returns the number of distinct epochs with observations.
+// Late returns the number of accesses written into epochs a rate read had
+// already sealed. They count in every exact total but not in the rates.
+func (s *Sketch) Late() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.late
+}
+
+// Epochs returns the number of distinct epochs with observations, sealed
+// ones included.
 func (s *Sketch) Epochs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.epochs)
+	return s.ckpt.epochs + len(s.epochs)
 }
 
 // ClientTotals returns a copy of the exact cumulative per-client access
@@ -170,51 +242,99 @@ func (s *Sketch) NodeTotals() []int64 {
 	return append([]int64(nil), s.nodeTotals...)
 }
 
-// sortedEpochIdx returns the present epoch indices in ascending order.
-// Callers hold s.mu.
-func (s *Sketch) sortedEpochIdx() []int64 {
-	idx := make([]int64, 0, len(s.epochs))
-	for e := range s.epochs {
-		idx = append(idx, e)
+// foldEpoch advances EWMA rates by one present epoch lying gap epochs after
+// the previously folded one. The g−1 empty epochs inside a gap of g decay
+// every rate by λ^(g−1), exactly what folding g−1 zero-count epochs would
+// do; the epoch's own update contributes the remaining λ.
+func foldEpoch(rates []float64, counts []int64, gap int64, lambda float64) []float64 {
+	if gap > 1 {
+		decay := math.Pow(lambda, float64(gap-1))
+		for i := range rates {
+			rates[i] *= decay
+		}
 	}
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
-	return idx
+	if len(rates) < len(counts) {
+		rates = append(rates, make([]float64, len(counts)-len(rates))...)
+	}
+	for i, c := range counts {
+		rates[i] = lambda*rates[i] + (1-lambda)*float64(c)
+	}
+	// Indices past len(counts) saw zero observations this epoch.
+	for i := len(counts); i < len(rates); i++ {
+		rates[i] *= lambda
+	}
+	return rates
 }
 
-// ewma folds per-epoch counts into EWMA rates as of the latest observed
-// epoch. pick selects the counter slice of a cell. Callers hold s.mu.
-func (s *Sketch) ewma(pick func(*epochCell) []int64) []float64 {
-	idx := s.sortedEpochIdx()
-	if len(idx) == 0 {
+// seal folds every cell more than W epochs behind the newest one into the
+// checkpoint, in ascending order, and drops it. It returns the remaining
+// window's epoch indices in ascending order, in scratch the next read
+// reuses. Callers hold s.mu.
+func (s *Sketch) seal() []int64 {
+	keys := s.keys[:0]
+	for e := range s.epochs {
+		keys = append(keys, e)
+	}
+	slices.Sort(keys)
+	s.keys = keys
+	bound := s.maxEpoch - s.window
+	if bound > s.maxEpoch { // wrapped (or empty): nothing lies W epochs back
+		bound = math.MinInt64
+	}
+	s.sealed = max(s.sealed, bound)
+	n := 0
+	for n < len(keys) && keys[n] < bound {
+		n++
+	}
+	if n == 0 {
+		return keys
+	}
+	prev := s.ckpt.last
+	if s.ckpt.epochs == 0 {
+		prev = keys[0]
+	}
+	for _, e := range keys[:n] {
+		c := s.epochs[e]
+		s.ckpt.clients = foldEpoch(s.ckpt.clients, c.clients, e-prev, s.lambda)
+		s.ckpt.nodes = foldEpoch(s.ckpt.nodes, c.nodes, e-prev, s.lambda)
+		prev = e
+		delete(s.epochs, e)
+	}
+	s.ckpt.last = prev
+	s.ckpt.epochs += n
+	if s.lastIdx < bound {
+		s.lastIdx, s.lastCell = math.MinInt64, nil
+	}
+	keys = keys[n:]
+	if n > len(keys) {
+		// Most cells went: move the rest to fresh storage, since a Go map
+		// never shrinks and the scratch would keep its peak size.
+		window := make(map[int64]*epochCell, len(keys))
+		for _, e := range keys {
+			window[e] = s.epochs[e]
+		}
+		s.epochs = window
+		keys = slices.Clone(keys)
+		s.keys = keys
+	}
+	return keys
+}
+
+// ewma returns EWMA rates as of the newest epoch: base, the matching
+// checkpoint rates, with the window cells at keys folded on in ascending
+// order. pick selects a cell's counter slice. Callers hold s.mu and pass
+// the keys seal returned.
+func (s *Sketch) ewma(keys []int64, base []float64, pick func(*epochCell) []int64) []float64 {
+	if len(keys) == 0 {
 		return nil
 	}
-	// λ per epoch so that weight halves every halfLife epochs. The fold
-	// visits only present epochs in ascending order; the g−1 empty epochs
-	// inside a gap of g decay every rate by λ^(g−1), exactly what folding
-	// g−1 zero-count epochs would do (the present epoch's own update
-	// contributes the remaining λ). The iteration order is deterministic
-	// (sorted), so equal state yields bitwise-equal rates.
-	lambda := math.Pow(0.5, 1/s.halfLife)
-	var rates []float64
-	prev := idx[0]
-	for _, e := range idx {
-		if gap := e - prev; gap > 1 {
-			decay := math.Pow(lambda, float64(gap-1))
-			for i := range rates {
-				rates[i] *= decay
-			}
-		}
-		counts := pick(s.epochs[e])
-		for len(rates) < len(counts) {
-			rates = append(rates, 0)
-		}
-		for i, c := range counts {
-			rates[i] = lambda*rates[i] + (1-lambda)*float64(c)
-		}
-		// Indices past len(counts) saw zero observations this epoch.
-		for i := len(counts); i < len(rates); i++ {
-			rates[i] *= lambda
-		}
+	rates := append([]float64(nil), base...)
+	prev := s.ckpt.last
+	if s.ckpt.epochs == 0 {
+		prev = keys[0]
+	}
+	for _, e := range keys {
+		rates = foldEpoch(rates, pick(s.epochs[e]), e-prev, s.lambda)
 		prev = e
 	}
 	return rates
@@ -225,7 +345,8 @@ func (s *Sketch) ewma(pick func(*epochCell) []int64) []float64 {
 func (s *Sketch) ClientRates() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ewma(func(c *epochCell) []int64 { return c.clients })
+	keys := s.seal()
+	return s.ewma(keys, s.ckpt.clients, func(c *epochCell) []int64 { return c.clients })
 }
 
 // NodeRates returns the per-node EWMA message-rate estimate (messages per
@@ -233,7 +354,8 @@ func (s *Sketch) ClientRates() []float64 {
 func (s *Sketch) NodeRates() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ewma(func(c *epochCell) []int64 { return c.nodes })
+	keys := s.seal()
+	return s.ewma(keys, s.ckpt.nodes, func(c *epochCell) []int64 { return c.nodes })
 }
 
 // TopEntry is one heavy hitter: a client or node index and its exact
@@ -297,7 +419,9 @@ func (s *Sketch) EpochLen() float64 { return s.epochLen }
 // virtual time zero (netsim) into a long-lived daemon sketch needs the
 // offset, or every run's epochs would collapse onto the same indices.
 // Totals are time-free and merge unchanged, so with shift = 0 the result
-// is bitwise identical to Merge.
+// is bitwise identical to Merge. o must have no sealed epochs, since their
+// raw counts are gone; an o cell that lands in an epoch s has sealed is
+// late in s.
 func (s *Sketch) MergeShifted(o *Sketch, shift int64) error {
 	if s == o {
 		return fmt.Errorf("heat: cannot merge a sketch into itself")
@@ -308,13 +432,18 @@ func (s *Sketch) MergeShifted(o *Sketch, shift int64) error {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	if o.ckpt.epochs > 0 {
+		return fmt.Errorf("heat: cannot merge a sketch with %d sealed epochs", o.ckpt.epochs)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for e, oc := range o.epochs {
-		c := s.epochs[e+shift]
+		c := s.cell(e + shift)
 		if c == nil {
-			c = &epochCell{}
-			s.epochs[e+shift] = c
+			for _, n := range oc.clients {
+				s.late += n
+			}
+			continue
 		}
 		c.clients = addCounts(c.clients, oc.clients)
 		c.nodes = addCounts(c.nodes, oc.nodes)
@@ -324,6 +453,7 @@ func (s *Sketch) MergeShifted(o *Sketch, shift int64) error {
 	s.nodeTotals = addCounts(s.nodeTotals, o.nodeTotals)
 	s.accesses += o.accesses
 	s.messages += o.messages
+	s.late += o.late
 	return nil
 }
 
@@ -333,13 +463,7 @@ func (s *Sketch) MergeShifted(o *Sketch, shift int64) error {
 func (s *Sketch) MaxEpoch() (int64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	max, ok := int64(math.MinInt64), false
-	for e := range s.epochs {
-		if !ok || e > max {
-			max, ok = e, true
-		}
-	}
-	return max, ok
+	return s.maxEpoch, s.ckpt.epochs+len(s.epochs) > 0
 }
 
 // NewShard returns an empty sketch with this sketch's configuration, the
@@ -360,9 +484,9 @@ func addCounts(dst, src []int64) []int64 {
 }
 
 // Equal reports whether two sketches hold identical state: same
-// configuration and same exact counts in every epoch. Zero-padded tails
-// of the index spaces are ignored, so a sketch that merely grew further
-// compares equal.
+// configuration, same exact counts in every raw epoch, and the same
+// checkpoint, seal point and late count. Zero-padded tails of the index
+// spaces are ignored, so a sketch that merely grew further compares equal.
 func (s *Sketch) Equal(o *Sketch) bool {
 	if s.epochLen != o.epochLen || s.halfLife != o.halfLife {
 		return false
@@ -371,10 +495,15 @@ func (s *Sketch) Equal(o *Sketch) bool {
 	defer o.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.accesses != o.accesses || s.messages != o.messages {
+	if s.accesses != o.accesses || s.messages != o.messages || s.late != o.late || s.sealed != o.sealed {
 		return false
 	}
-	if !countsEqual(s.clientTotals, o.clientTotals) || !countsEqual(s.nodeTotals, o.nodeTotals) {
+	if !tailEqual(s.clientTotals, o.clientTotals) || !tailEqual(s.nodeTotals, o.nodeTotals) {
+		return false
+	}
+	sc, oc := s.ckpt, o.ckpt
+	if sc.epochs != oc.epochs || sc.last != oc.last ||
+		!tailEqual(sc.clients, oc.clients) || !tailEqual(sc.nodes, oc.nodes) {
 		return false
 	}
 	if len(s.epochs) != len(o.epochs) {
@@ -382,14 +511,15 @@ func (s *Sketch) Equal(o *Sketch) bool {
 	}
 	for e, c := range s.epochs {
 		oc := o.epochs[e]
-		if oc == nil || !countsEqual(c.clients, oc.clients) || !countsEqual(c.nodes, oc.nodes) {
+		if oc == nil || !tailEqual(c.clients, oc.clients) || !tailEqual(c.nodes, oc.nodes) {
 			return false
 		}
 	}
 	return true
 }
 
-func countsEqual(a, b []int64) bool {
+// tailEqual compares two slices as if the shorter were padded with zeros.
+func tailEqual[T int64 | float64](a, b []T) bool {
 	long, short := a, b
 	if len(b) > len(a) {
 		long, short = b, a

@@ -78,6 +78,22 @@ func TestSketchIgnoresBadInput(t *testing.T) {
 	}
 }
 
+// TestSketchDropsOutOfRangeTimes: a time whose epoch index is past int64
+// used to overflow into a bogus earliest epoch that no fold ever decayed.
+func TestSketchDropsOutOfRangeTimes(t *testing.T) {
+	s := New(Options{})
+	s.Observe(0.5, 1, []int{0})
+	for _, at := range []float64{math.Inf(1), 1e300, 0x1p63} {
+		s.Observe(at, 0, []int{0})
+	}
+	if s.Accesses() != 1 || s.Messages() != 1 {
+		t.Fatalf("accesses %d messages %d after out-of-range times, want 1, 1", s.Accesses(), s.Messages())
+	}
+	if rates := s.ClientRates(); len(rates) != 2 || rates[0] != 0 {
+		t.Fatalf("client rates %v: client 0 has no in-range access", rates)
+	}
+}
+
 // TestShardedMergeEqualsSingleStream is the core merge contract: any
 // sharding of the stream, merged in any order, is bitwise identical to the
 // single-stream sketch — including the float views derived at read time.
