@@ -172,13 +172,19 @@ func (s *Sketch) Observe(at float64, client int, nodes []int) {
 		cell = s.cell(idx)
 		s.lastIdx, s.lastCell = idx, cell
 	}
+	// Each slice header is written back only when it grows: a store of a
+	// pointer into a heap object pays a write barrier while GC runs.
 	if cell != nil {
-		cell.clients = grow(cell.clients, client)
+		if client >= len(cell.clients) {
+			cell.clients = grow(cell.clients, client)
+		}
 		cell.clients[client]++
 	} else {
 		s.late++
 	}
-	s.clientTotals = grow(s.clientTotals, client)
+	if client >= len(s.clientTotals) {
+		s.clientTotals = grow(s.clientTotals, client)
+	}
 	s.clientTotals[client]++
 	s.accesses++
 	for _, v := range nodes {
@@ -186,10 +192,14 @@ func (s *Sketch) Observe(at float64, client int, nodes []int) {
 			continue
 		}
 		if cell != nil {
-			cell.nodes = grow(cell.nodes, v)
+			if v >= len(cell.nodes) {
+				cell.nodes = grow(cell.nodes, v)
+			}
 			cell.nodes[v]++
 		}
-		s.nodeTotals = grow(s.nodeTotals, v)
+		if v >= len(s.nodeTotals) {
+			s.nodeTotals = grow(s.nodeTotals, v)
+		}
 		s.nodeTotals[v]++
 		s.messages++
 	}

@@ -13,6 +13,12 @@ package netsim
 //     (Seed, entity id). An entity's draws depend only on its own event
 //     order, never on how entities interleave globally, so the outcome is
 //     invariant under the number of workers and the shard assignment.
+//     Because the stream is a counter, the k-th next draw is a closed
+//     form of the current state (prng.peek): an access computes only the
+//     draws it reads — a failure run's crash states of the hosting nodes,
+//     not of every node — and jumps past the rest (prng.skip), leaving
+//     every value and the stream position bitwise as if it had drawn
+//     them all in order.
 //  2. A canonical total event order. Ties at equal virtual time break on
 //     a composite key of the event's identity (kind, client, access,
 //     node, member slot) instead of heap insertion order, so every shard
@@ -48,6 +54,8 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 
 	"quorumplace/internal/heat"
@@ -76,7 +84,18 @@ const (
 // client and node of a million-entity run affords a private stream (the
 // shared math/rand source carries 607 words of state — 5 KB per stream —
 // and its draw order couples all entities together).
+//
+// A draw adds the constant γ to the counter and mixes the result, so the
+// k-th next draw is mix64(state + k·γ) (mod 2⁶⁴) whatever happens in
+// between. peek and skip use that identity: a simulator reads only the
+// draws an access needs, at their positions in the stream, and jumps past
+// the rest with one addition. The values and the stream position are
+// exactly those of drawing one by one, because both are the same integer
+// additions.
 type prng struct{ state uint64 }
+
+// prngGamma is the counter increment γ of one draw.
+const prngGamma = 0x9e3779b97f4a7c15
 
 // newPRNG derives the stream for one entity of one run.
 func newPRNG(seed int64, stream uint64, id int) prng {
@@ -84,13 +103,28 @@ func newPRNG(seed int64, stream uint64, id int) prng {
 }
 
 func (p *prng) next() uint64 {
-	p.state += 0x9e3779b97f4a7c15
+	p.state += prngGamma
 	return mix64(p.state)
+}
+
+// peek returns the k-th next draw (k ≥ 1) without advancing the stream.
+func (p *prng) peek(k int) uint64 {
+	return mix64(p.state + uint64(k)*prngGamma)
+}
+
+// skip advances the stream past k draws.
+func (p *prng) skip(k int) {
+	p.state += uint64(k) * prngGamma
+}
+
+// unitFloat maps a draw to a uniform value in [0, 1) with 53 random bits.
+func unitFloat(x uint64) float64 {
+	return float64(x>>11) / (1 << 53)
 }
 
 // Float64 returns a uniform draw in [0, 1) with 53 random bits.
 func (p *prng) Float64() float64 {
-	return float64(p.next()>>11) / (1 << 53)
+	return unitFloat(p.next())
 }
 
 // ExpFloat64 returns an exponential draw of mean 1 by inversion.
@@ -133,6 +167,25 @@ func validateRun(ins *placement.Instance, pl placement.Placement, accessesPerCli
 	}
 	if workers < 0 {
 		return fmt.Errorf("netsim: Workers = %d, want >= 0 (0 = one worker)", workers)
+	}
+	return nil
+}
+
+// hostingNodes returns the distinct nodes that host an element, ascending.
+func hostingNodes(pl placement.Placement) []int {
+	hosts := make([]int, pl.Len())
+	for u := range hosts {
+		hosts[u] = pl.Node(u)
+	}
+	slices.Sort(hosts)
+	return slices.Compact(hosts)
+}
+
+// checkFinite rejects a NaN or infinite float setting by name. The range
+// checks alone would let NaN through, since it fails every comparison.
+func checkFinite(name string, x float64) error {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return fmt.Errorf("netsim: %s = %v, want a finite value", name, x)
 	}
 	return nil
 }
@@ -257,11 +310,12 @@ func addVec[T int | int64](dst, src []T) []T {
 }
 
 // simRun is what one simulation run shares across its workers: the
-// network size, the quorum-sampling CDF and the telemetry sinks.
+// network size, the quorum sampler and the telemetry sinks.
 type simRun struct {
 	n         int
 	cdf       []float64 // quorum-sampling CDF, read-only
 	acc       float64   // total mass of cdf
+	guide     []int32   // guide table over cdf (newGuide), read-only
 	span      *obs.Span
 	rec       *Recorder // nil when tracing is off
 	runID     int
@@ -279,6 +333,7 @@ func newSimRun(span string, ins *placement.Instance, seed int64, rec *Recorder, 
 		r.acc += ins.Strat.P(q)
 		r.cdf[q] = r.acc
 	}
+	r.guide = newGuide(r.cdf, r.acc)
 	if rec != nil {
 		r.runID = rec.beginRun()
 		r.slo = rec.sloEnabled()
@@ -288,6 +343,39 @@ func newSimRun(span string, ins *placement.Instance, seed int64, rec *Recorder, 
 		r.every = rec.sampleEvery
 	}
 	return r
+}
+
+// newGuide builds the guide table of a quorum-sampling CDF: g buckets, g
+// the largest power of two not above the quorum count, where bucket b
+// holds the quorum that u = b/g selects.
+func newGuide(cdf []float64, acc float64) []int32 {
+	g := 1
+	for 2*g <= len(cdf) {
+		g *= 2
+	}
+	guide := make([]int32, g)
+	for b := range guide {
+		guide[b] = int32(min(sort.SearchFloat64s(cdf, float64(b)/float64(g)*acc), len(cdf)-1))
+	}
+	return guide
+}
+
+// sampleQuorum returns the quorum a uniform u ∈ [0, 1) selects: bitwise
+// sort.SearchFloat64s(cdf, u·acc) clamped to the last quorum. Scaling by
+// the power of two g is exact, so u lies in bucket b = ⌊u·g⌋ with
+// u ≥ b/g; rounded multiplication is monotone, so u·acc ≥ (b/g)·acc, and
+// the search result (nondecreasing in its argument) is at least guide[b].
+// The scan from there therefore stops at the exact answer. Each CDF entry
+// lies in one bucket's range and g > quorums/2, so a uniform u scans past
+// fewer than two entries on average.
+func (r *simRun) sampleQuorum(u float64) int {
+	x := u * r.acc
+	i := int(r.guide[int(u*float64(len(r.guide)))])
+	last := len(r.cdf) - 1
+	for i < last && r.cdf[i] < x {
+		i++
+	}
+	return i
 }
 
 // traced reports whether the run records a trace of the given access.

@@ -71,6 +71,12 @@ func RunWithFailures(cfg FailureConfig) (*FailureStats, error) {
 	if err := validateRun(ins, cfg.Placement, cfg.AccessesPerClient, cfg.Workers); err != nil {
 		return nil, err
 	}
+	if err := checkFinite("NodeFailureProb", cfg.NodeFailureProb); err != nil {
+		return nil, err
+	}
+	if err := checkFinite("RetryPenalty", cfg.RetryPenalty); err != nil {
+		return nil, err
+	}
 	if cfg.NodeFailureProb < 0 || cfg.NodeFailureProb > 1 {
 		return nil, fmt.Errorf("netsim: NodeFailureProb = %v outside [0,1]", cfg.NodeFailureProb)
 	}

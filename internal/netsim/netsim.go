@@ -232,6 +232,9 @@ func Run(cfg Config) (*Stats, error) {
 	if err := validateRun(ins, cfg.Placement, cfg.AccessesPerClient, cfg.Workers); err != nil {
 		return nil, err
 	}
+	if err := checkFinite("InterAccessTime", cfg.InterAccessTime); err != nil {
+		return nil, err
+	}
 	if cfg.InterAccessTime < 0 {
 		return nil, fmt.Errorf("netsim: negative InterAccessTime %v", cfg.InterAccessTime)
 	}

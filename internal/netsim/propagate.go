@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // The propagation worker: the per-access step of Run and RunWithFailures.
 // Clients never interact when only propagation delay is charged — an
@@ -25,7 +22,8 @@ type propWorker struct {
 
 	q          eventQueue
 	streams    []prng // one per owned client
-	alive      []bool // crash state of the current access, nil without failures
+	hosts      []int  // hosting nodes, ascending; shared by the run's workers
+	alive      []bool // crash state of the current access (hosts only), nil without failures
 	events     int64
 	maxDepth   int
 	accesses   int
@@ -57,18 +55,28 @@ func propagate(cfg *FailureConfig, think float64, failures bool) ([]*propWorker,
 		counts = clientAccessCounts(ins.Rates, r.n, cfg.AccessesPerClient)
 	}
 	shards := r.partition(clampWorkers(cfg.Workers, r.n), !failures)
+	// The host list and every worker's crash-state row are allocated once
+	// per run; a cache line of padding between rows keeps two workers from
+	// writing to one line.
+	var hosts []int
+	var alive []bool
+	stride := r.n + 64
+	if cfg.NodeFailureProb != 0 {
+		hosts = hostingNodes(cfg.Placement)
+		alive = make([]bool, len(shards)*stride)
+	}
 	ws := make([]*propWorker, len(shards))
 	all := make([]worker, len(shards))
 	for i, s := range shards {
 		w := &propWorker{
-			shard: s, cfg: cfg, think: think, failures: failures, counts: counts,
+			shard: s, cfg: cfg, think: think, failures: failures, counts: counts, hosts: hosts,
 			streams:    make([]prng, s.hi-s.lo),
 			nodeHits:   make([]int64, r.n),
 			perClient:  make([]float64, s.hi-s.lo),
 			perClientN: make([]int, s.hi-s.lo),
 		}
-		if cfg.NodeFailureProb != 0 {
-			w.alive = make([]bool, r.n)
+		if alive != nil {
+			w.alive = alive[i*stride : i*stride+r.n]
 		}
 		// Exact for uniform rates; rated runs grow from there.
 		w.latBuf = make([]latRec, 0, (s.hi-s.lo)*cfg.AccessesPerClient)
@@ -129,7 +137,6 @@ func (w *propWorker) flush() {
 func (w *propWorker) process(float64) {
 	cfg := w.cfg
 	ins := cfg.Instance
-	nQ := ins.Sys.NumQuorums()
 	collectNodes := w.accNodes != nil
 	alive := w.alive
 	for len(w.q) > 0 {
@@ -147,12 +154,19 @@ func (w *propWorker) process(float64) {
 		row := ins.M.Row(v)
 		// Crash state for this access epoch, drawn from the client stream:
 		// the access's view of the world depends only on (seed, client,
-		// access), never on how accesses interleave globally.
+		// access), never on how accesses interleave globally. Node i's
+		// state is the stream's (i+1)-th next draw, as if all n were drawn
+		// in node order. Only hosting nodes are ever read, so only theirs
+		// are computed, and the stream then jumps past all n draws. When no
+		// host is down every quorum is alive.
 		if alive != nil {
-			for i := range alive {
-				alive[i] = st.Float64() >= cfg.NodeFailureProb
+			down := false
+			for _, h := range w.hosts {
+				alive[h] = unitFloat(st.peek(h+1)) >= cfg.NodeFailureProb
+				down = down || !alive[h]
 			}
-			if !anyQuorumAlive(ins, cfg.Placement, alive) {
+			st.skip(w.n)
+			if down && !anyQuorumAlive(ins, cfg.Placement, alive) {
 				w.noLive++
 			}
 		}
@@ -167,10 +181,7 @@ func (w *propWorker) process(float64) {
 		var accRetries int64
 		w.accNodes = w.accNodes[:0]
 		for attempt := 0; attempt <= cfg.MaxRetries; attempt++ {
-			qi := sort.SearchFloat64s(w.cdf, st.Float64()*w.acc)
-			if qi >= nQ {
-				qi = nQ - 1
-			}
+			qi := w.sampleQuorum(st.Float64())
 			quorum := ins.Sys.Quorum(qi)
 			attemptStart := e.at + penalty
 			attemptProbes := 0

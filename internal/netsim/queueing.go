@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"quorumplace/internal/heat"
 	"quorumplace/internal/obs"
@@ -93,7 +92,7 @@ type pendingMsg struct {
 // access) state table.
 type accessState struct {
 	remaining int
-	issuedAt  float64
+	issuedAt  float64 // the pre-drawn issue time, set by start
 	lastResp  float64
 	tr        *AccessTrace // non-nil when this access is traced
 }
@@ -102,6 +101,12 @@ type accessState struct {
 func RunQueueing(cfg QueueConfig) (*QueueStats, error) {
 	ins := cfg.Instance
 	if err := validateRun(ins, cfg.Placement, cfg.AccessesPerClient, cfg.Workers); err != nil {
+		return nil, err
+	}
+	if err := checkFinite("ArrivalRate", cfg.ArrivalRate); err != nil {
+		return nil, err
+	}
+	if err := checkFinite("ServiceMean", cfg.ServiceMean); err != nil {
 		return nil, err
 	}
 	if cfg.ArrivalRate <= 0 {
@@ -274,16 +279,13 @@ func (h *pqHeap) pop() pqEvent {
 // messages, so the scan is O(n·|hosting|), not O(n²).
 func queueLookahead(cfg *QueueConfig, n, W int) float64 {
 	ins := cfg.Instance
-	hosting := make([]bool, n)
-	for u := 0; u < ins.Sys.Universe(); u++ {
-		hosting[cfg.Placement.Node(u)] = true
-	}
+	hosts := hostingNodes(cfg.Placement)
 	L := math.Inf(1)
 	for v := 0; v < n; v++ {
 		sv := shardOfEntity(v, n, W)
 		row := ins.M.Row(v)
-		for h := 0; h < n; h++ {
-			if !hosting[h] || shardOfEntity(h, n, W) == sv {
+		for _, h := range hosts {
+			if shardOfEntity(h, n, W) == sv {
 				continue
 			}
 			if d := row[h]; d < L {
@@ -359,7 +361,12 @@ func (w *queueWorker) send(e pqEvent) {
 }
 
 // start precomputes the owned clients' Poisson issue schedules from their
-// private streams and initializes the node service streams.
+// private streams into the access states' issue times, and initializes
+// the node service streams. Only each client's first issue enters the
+// heap; handling issue a pushes issue a+1. That is the pop order of
+// pushing the whole schedule up front: issue a+1 sorts after issue a and
+// is in the heap before anything after issue a pops, so the heap holds
+// one pending issue per client instead of all of them.
 func (w *queueWorker) start() {
 	cfg := w.cfg
 	for i := range w.clientStream {
@@ -370,11 +377,13 @@ func (w *queueWorker) start() {
 	}
 	for v := w.lo; v < w.hi; v++ {
 		st := &w.clientStream[v-w.lo]
+		issues := w.states[(v-w.lo)*cfg.AccessesPerClient:][:cfg.AccessesPerClient]
 		t := 0.0
-		for a := 0; a < cfg.AccessesPerClient; a++ {
+		for a := range issues {
 			t += st.ExpFloat64() / cfg.ArrivalRate
-			w.h.push(pqEvent{at: t, kind: 0, client: v, access: a})
+			issues[a].issuedAt = t
 		}
+		w.h.push(pqEvent{at: issues[0].issuedAt, kind: 0, client: v, access: 0})
 	}
 	for v := w.lo; v < w.hi; v++ {
 		w.qHead[v-w.lo], w.qTail[v-w.lo] = -1, -1
@@ -480,7 +489,6 @@ func (w *queueWorker) fillSample(at float64, s *TSample) {
 func (w *queueWorker) process(limit float64) {
 	cfg := w.cfg
 	ins := cfg.Instance
-	nQ := ins.Sys.NumQuorums()
 	for d := range w.outbox {
 		w.outbox[d] = w.outbox[d][:0]
 	}
@@ -493,16 +501,16 @@ func (w *queueWorker) process(limit float64) {
 		w.lastAt = e.at
 		switch e.kind {
 		case 0: // client issues an access
-			st := &w.states[(e.client-w.lo)*cfg.AccessesPerClient+e.access]
-			cs := &w.clientStream[e.client-w.lo]
-			qi := sort.SearchFloat64s(w.cdf, cs.Float64()*w.acc)
-			if qi >= nQ {
-				qi = nQ - 1
+			i := (e.client-w.lo)*cfg.AccessesPerClient + e.access
+			st := &w.states[i]
+			if e.access+1 < cfg.AccessesPerClient {
+				w.h.push(pqEvent{at: w.states[i+1].issuedAt, kind: 0, client: e.client, access: e.access + 1})
 			}
+			cs := &w.clientStream[e.client-w.lo]
+			qi := w.sampleQuorum(cs.Float64())
 			row := ins.M.Row(e.client)
 			q := ins.Sys.Quorum(qi)
 			st.remaining = len(q)
-			st.issuedAt = e.at
 			st.lastResp = 0
 			w.inFlight++
 			if w.traced(e.client, e.access) {
