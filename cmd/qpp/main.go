@@ -16,11 +16,8 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	qp "quorumplace"
 	"quorumplace/internal/obs/export"
@@ -62,75 +59,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	finish, err := export.Instrumentation{
+		CPUProfile: *cpuProfile, MemProfile: *memProfile, Trace: *traceFile, Stats: *stats,
+		MetricsAddr: *metricsAddr, MetricsHold: *metricsHold,
+	}.Start("qpp", stderr)
+	if err != nil {
+		return err
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(stderr, "qpp: memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "qpp: memprofile: %v\n", err)
-			}
-		}()
-	}
-	if *traceFile != "" || *stats || *metricsAddr != "" {
-		qp.EnableTelemetry()
-		defer func() {
-			snap := qp.Snapshot()
-			qp.DisableTelemetry()
-			if snap == nil {
-				return
-			}
-			if *traceFile != "" {
-				f, err := os.Create(*traceFile)
-				if err != nil {
-					fmt.Fprintf(stderr, "qpp: trace: %v\n", err)
-				} else {
-					if err := snap.WriteJSONL(f); err != nil {
-						fmt.Fprintf(stderr, "qpp: trace: %v\n", err)
-					}
-					f.Close()
-				}
-			}
-			if *stats {
-				fmt.Fprint(stderr, snap.Summary())
-			}
-		}()
-	}
-	if *metricsAddr != "" {
-		// Registered after the telemetry defer, so the hold-and-close runs
-		// first (LIFO) while the collector is still installed: scrapers see
-		// live data during the run and for -metrics-hold afterwards.
-		srv, err := export.Serve(*metricsAddr, export.ActiveSource())
-		if err != nil {
-			return fmt.Errorf("metrics-addr: %w", err)
-		}
-		fmt.Fprintf(stderr, "qpp: serving metrics on %s (json at /metrics.json)\n", srv.URL())
-		defer func() {
-			if *metricsHold > 0 {
-				time.Sleep(*metricsHold)
-			}
-			srv.Close()
-		}()
-	}
+	defer finish()
 
 	rng := rand.New(rand.NewSource(*seed))
 	var g *qp.Graph
-	var err error
 	if *graphFile != "" {
 		f, ferr := os.Open(*graphFile)
 		if ferr != nil {

@@ -43,10 +43,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
-	"time"
 
 	qp "quorumplace"
 	"quorumplace/internal/eval"
@@ -95,71 +92,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-drift-threshold %v outside [0,1]", *driftThreshold)
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	finish, err := export.Instrumentation{
+		CPUProfile: *cpuProfile, MemProfile: *memProfile, Trace: *traceFile, Stats: *stats,
+		MetricsAddr: *metricsAddr, MetricsHold: *metricsHold,
+	}.Start("qppeval", stderr)
+	if err != nil {
+		return err
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(stderr, "qppeval: memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "qppeval: memprofile: %v\n", err)
-			}
-		}()
-	}
-	if *traceFile != "" || *stats || *metricsAddr != "" {
-		qp.EnableTelemetry()
-		defer func() {
-			snap := qp.Snapshot()
-			qp.DisableTelemetry()
-			if snap == nil {
-				return
-			}
-			if *traceFile != "" {
-				f, err := os.Create(*traceFile)
-				if err != nil {
-					fmt.Fprintf(stderr, "qppeval: trace: %v\n", err)
-				} else {
-					if err := snap.WriteJSONL(f); err != nil {
-						fmt.Fprintf(stderr, "qppeval: trace: %v\n", err)
-					}
-					f.Close()
-				}
-			}
-			if *stats {
-				fmt.Fprint(stderr, snap.Summary())
-			}
-		}()
-	}
-	if *metricsAddr != "" {
-		// Registered after the telemetry defer, so the hold-and-close runs
-		// first (LIFO) while the collector is still installed: scrapers see
-		// live data during the run and for -metrics-hold afterwards.
-		srv, err := export.Serve(*metricsAddr, export.ActiveSource())
-		if err != nil {
-			return fmt.Errorf("metrics-addr: %w", err)
-		}
-		fmt.Fprintf(stderr, "qppeval: serving metrics on %s (json at /metrics.json)\n", srv.URL())
-		defer func() {
-			if *metricsHold > 0 {
-				time.Sleep(*metricsHold)
-			}
-			srv.Close()
-		}()
-	}
+	defer finish()
+
 	sampleN, err := qp.ParseSimTraceSample(*traceSample)
 	if err != nil {
 		return err
@@ -168,8 +109,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *traceOut != "" {
 		rec := qp.NewSimRecorder(0, sampleN, *timeseries)
 		s.Recorder = rec
-		// Registered after the telemetry defer so it runs first (LIFO),
-		// while the collector is still installed and Snapshot() works.
+		// Deferred after finish, so it runs first (LIFO), while the
+		// collector is still installed and Snapshot() works.
 		defer func() {
 			t := &qp.ChromeTrace{}
 			rec.AppendChromeTrace(t)

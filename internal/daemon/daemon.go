@@ -123,7 +123,6 @@ type Daemon struct {
 
 	lambda    float64
 	epochBase int64 // ingestion offset, in epochs
-	window    int64 // the sketch's raw-cell window, in epochs
 	// ticks is a ring of the newest maxTicks records: tick s sits at
 	// s % maxTicks. It grows by append until it is full.
 	ticks  []TickRecord
@@ -198,21 +197,7 @@ func New(cfg Config) (*Daemon, error) {
 		shards:     shards,
 		planners:   planners,
 		lambda:     cfg.Lambda,
-		window:     heatWindow(cfg.Heat.HalfLife),
 	}, nil
-}
-
-// heatWindow is the raw-cell window heat.New gives a sketch with half-life
-// hl: ⌈8·hl⌉ epochs, where hl ≤ 0 means heat's default half-life of 8.
-func heatWindow(hl float64) int64 {
-	if hl <= 0 {
-		hl = 8
-	}
-	w := math.Ceil(8 * hl)
-	if !(w < 1<<62) {
-		w = 1 << 62
-	}
-	return int64(w)
 }
 
 // Shards returns the number of placement shards.

@@ -450,7 +450,7 @@ func TestObserveRejectsHostileInput(t *testing.T) {
 func TestObserveWindowMatchesSketch(t *testing.T) {
 	for _, hl := range []float64{0, 1, 2.5} {
 		d := newDaemon(t, 21, Config{Heat: heat.Options{HalfLife: hl}})
-		w := heatWindow(hl)
+		w := d.sketch.Window()
 		newest := 3 * w
 		if err := d.observeBatch([]observeReq{{At: float64(newest) + 0.5, Client: 1}}); err != nil {
 			t.Fatal(err)

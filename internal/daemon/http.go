@@ -179,8 +179,8 @@ func (d *Daemon) observeBatch(batch []observeReq) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := d.ins.M.N()
-	base, epochLen := d.now(), d.sketch.EpochLen()
-	newest, ok := d.sketch.MaxEpoch()
+	base, window := d.now(), d.sketch.Window()
+	newest, seen := d.sketch.MaxEpoch()
 	for i, o := range batch {
 		if o.Client < 0 || o.Client >= n {
 			return fmt.Errorf("entry %d: client %d outside [0, %d)", i, o.Client, n)
@@ -191,13 +191,13 @@ func (d *Daemon) observeBatch(batch []observeReq) error {
 			}
 		}
 		// Written so that NaN, which fails every comparison, is rejected.
-		x := (base + o.At) / epochLen
-		if !(o.At >= 0 && x < 0x1p63) {
+		e, ok := d.sketch.Epoch(base + o.At)
+		if !(o.At >= 0) || !ok {
 			return fmt.Errorf("entry %d: at = %v must be finite, non-negative and within the int64 epoch range", i, o.At)
 		}
-		if e := int64(x); ok && e < newest-d.window {
+		if seen && e < newest-window {
 			return fmt.Errorf("entry %d: at = %v falls in epoch %d, more than %d epochs behind the newest epoch %d",
-				i, o.At, e, d.window, newest)
+				i, o.At, e, window, newest)
 		}
 	}
 	for _, o := range batch {

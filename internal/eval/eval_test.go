@@ -89,6 +89,15 @@ func TestRunAllQuick(t *testing.T) {
 	}
 }
 
+// TestE10PerClientPlantsFeasibleCapacities runs E10 in full mode at a seed
+// whose per-client trials used to overflow capacities planted for the
+// uniform strategy, leaving the brute force without a feasible placement.
+func TestE10PerClientPlantsFeasibleCapacities(t *testing.T) {
+	if _, err := (&Suite{Seed: 4}).E10Extensions(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestE19DriftLeadsRegression pins the observability claim of E19: the
 // drift score rises strictly from the first skewed epoch while the
 // simulated p99 stays flat for at least three epochs, and the final epoch

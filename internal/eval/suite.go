@@ -128,10 +128,19 @@ func smallSystems() []systemChoice {
 	}
 }
 
-// makeInstance builds a feasible instance on the given graph and system:
-// capacities are seeded from a random placement plus small slack, so a
-// capacity-respecting placement always exists.
+// makeInstance builds a feasible instance on the given graph and system
+// under the uniform strategy: capacities are seeded from a random placement
+// plus small slack, so a capacity-respecting placement always exists.
 func makeInstance(g *graph.Graph, sys *quorum.System, rng *rand.Rand) (*placement.Instance, error) {
+	return makePerClientInstance(g, sys, nil, rng)
+}
+
+// makePerClientInstance is makeInstance for clients that each access
+// through their own strategy (nil means all use the uniform one). The
+// instance's strategy is then their average (placement.AverageStrategies),
+// so the planted capacities fit the element loads that the §6 solver and
+// the brute force place.
+func makePerClientInstance(g *graph.Graph, sys *quorum.System, perClient []quorum.Strategy, rng *rand.Rand) (*placement.Instance, error) {
 	m, err := graph.NewMetricFromGraph(g)
 	if err != nil {
 		return nil, err
@@ -141,6 +150,14 @@ func makeInstance(g *graph.Graph, sys *quorum.System, rng *rand.Rand) (*placemen
 	tmp, err := placement.NewInstance(m, make([]float64, n), sys, st)
 	if err != nil {
 		return nil, err
+	}
+	if perClient != nil {
+		if st, err = placement.AverageStrategies(tmp, perClient); err != nil {
+			return nil, err
+		}
+		if tmp, err = placement.NewInstance(m, make([]float64, n), sys, st); err != nil {
+			return nil, err
+		}
 	}
 	caps := make([]float64, n)
 	for u := 0; u < sys.Universe(); u++ {

@@ -250,11 +250,16 @@ func (s *Suite) E10Extensions() (*Table, error) {
 		sysC := smallSystems()[trial%len(smallSystems())]
 		fam := families()[trial%len(families())]
 		n := 5 + rng.Intn(2)
-		ins, err := makeInstance(fam.gen(n, rng), sysC.sys, rng)
+		g := fam.gen(n, rng)
+		// Draw the strategies before planting capacities, so the planted
+		// placement fits their average: planted for the uniform strategy,
+		// it could overflow the averaged loads and leave the brute force
+		// and the LP without a feasible placement.
+		per := randomStrategies(n, sysC.sys.NumQuorums(), rng)
+		ins, err := makePerClientInstance(g, sysC.sys, per, rng)
 		if err != nil {
 			return nil, err
 		}
-		per := randomStrategies(ins, rng)
 		res, err := placement.SolveQPPAveragedStrategies(ins, per, alpha)
 		if err != nil {
 			return nil, err
@@ -316,9 +321,8 @@ func (s *Suite) E10Extensions() (*Table, error) {
 	return t, nil
 }
 
-func randomStrategies(ins *placement.Instance, rng *rand.Rand) []quorum.Strategy {
-	n := ins.M.N()
-	m := ins.Sys.NumQuorums()
+// randomStrategies draws one access strategy over m quorums per client.
+func randomStrategies(n, m int, rng *rand.Rand) []quorum.Strategy {
 	out := make([]quorum.Strategy, n)
 	for v := 0; v < n; v++ {
 		p := make([]float64, m)

@@ -421,7 +421,7 @@ func (s *Suite) E17DynamicEpochs() (*Table, error) {
 				return nil, err
 			}
 			if !pol.static {
-				plan, err := migrateSolve(ins, cur, pol.lambda)
+				plan, err := migrate.Solve(ins, cur, pol.lambda)
 				if err != nil {
 					return nil, err
 				}
@@ -437,9 +437,4 @@ func (s *Suite) E17DynamicEpochs() (*Table, error) {
 	}
 	t.Notes = append(t.Notes, "every migrating policy keeps loads within the Theorem 5.1 bound of 2×cap")
 	return t, nil
-}
-
-// migrateSolve isolates the migrate dependency for E17.
-func migrateSolve(ins *placement.Instance, old placement.Placement, lambda float64) (*migrate.Plan, error) {
-	return migrate.Solve(ins, old, lambda)
 }

@@ -65,42 +65,6 @@ func (ins *Instance) Validate() error {
 	return nil
 }
 
-// SolveLP solves the LP relaxation (15)–(18): minimize Σ c_ij y_ij subject
-// to Σ_i y_ij = 1 for each job, Σ_j p_ij y_ij ≤ T_i for each machine, and
-// y ≥ 0 with forbidden pairs fixed to zero. It returns the fractional
-// solution y[machine][job] and its objective value.
-func SolveLP(ins *Instance) ([][]float64, float64, error) {
-	sp := obs.Start("gap.lp")
-	defer sp.End()
-	prob, vars, err := buildLP(ins, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	// The pooled-workspace cold solve: the same construction and pivot
-	// sequence as a fresh Skeleton's first solve, without paying for a
-	// dedicated warm workspace the one-shot path would throw away.
-	sol, err := prob.Solve()
-	if err != nil {
-		return nil, 0, fmt.Errorf("gap: LP relaxation: %w", err)
-	}
-	// Post-solve invariant check: the simplex hot path keeps being
-	// rewritten, so assert primal feasibility before rounding trusts y.
-	if err := prob.VerifySolution(sol, 1e-6); err != nil {
-		return nil, 0, fmt.Errorf("gap: LP relaxation returned an infeasible point: %w", err)
-	}
-	m, n := ins.NumMachines(), ins.NumJobs()
-	y := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		y[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			if vars[i][j] >= 0 {
-				y[i][j] = sol.X[vars[i][j]]
-			}
-		}
-	}
-	return y, sol.Objective, nil
-}
-
 // fracTol is the threshold below which fractional assignments are treated
 // as zero during rounding (LP roundoff noise).
 const fracTol = 1e-9
@@ -299,22 +263,6 @@ func RoundWith(ws *Workspace, ins *Instance, y [][]float64) ([]int, float64, err
 		assign[j] = slotMachine[s-1-n]
 	}
 	return assign, res.Cost, nil
-}
-
-// Solve runs SolveLP followed by Round, returning the integral assignment,
-// its cost, and the LP lower bound.
-func Solve(ins *Instance) (assign []int, cost, lpBound float64, err error) {
-	sp := obs.Start("gap.solve")
-	defer sp.End()
-	y, lpObj, err := SolveLP(ins)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	assign, cost, err = Round(ins, y)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return assign, cost, lpObj, nil
 }
 
 // Loads returns the per-machine load of an integral assignment.

@@ -15,6 +15,17 @@ func simpleInstance() *Instance {
 	}
 }
 
+// solveLP is one cold solve of a fresh skeleton, the relaxation's only
+// route.
+func solveLP(ins *Instance) ([][]float64, float64, error) {
+	sk, err := NewSkeleton(ins)
+	if err != nil {
+		return nil, 0, err
+	}
+	y, obj, _, err := sk.SolveLP()
+	return y, obj, err
+}
+
 func TestValidate(t *testing.T) {
 	ins := simpleInstance()
 	if err := ins.Validate(); err != nil {
@@ -31,7 +42,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestSolveLPBasic(t *testing.T) {
-	y, obj, err := SolveLP(simpleInstance())
+	y, obj, err := solveLP(simpleInstance())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +62,7 @@ func TestSolveLPBasic(t *testing.T) {
 func TestSolveLPForbiddenPair(t *testing.T) {
 	ins := simpleInstance()
 	ins.Load[0][0] = math.Inf(1) // job 0 cannot go to machine 0
-	y, _, err := SolveLP(ins)
+	y, _, err := solveLP(ins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +75,7 @@ func TestSolveLPJobWithNoMachine(t *testing.T) {
 	ins := simpleInstance()
 	ins.Load[0][0] = math.Inf(1)
 	ins.Load[1][0] = math.Inf(1)
-	if _, _, err := SolveLP(ins); err == nil {
+	if _, _, err := solveLP(ins); err == nil {
 		t.Fatal("expected error for job with no allowed machine")
 	}
 }
@@ -75,14 +86,14 @@ func TestSolveLPInfeasibleCapacity(t *testing.T) {
 		Load: [][]float64{{3, 3}},
 		T:    []float64{1},
 	}
-	if _, _, err := SolveLP(ins); err == nil {
+	if _, _, err := solveLP(ins); err == nil {
 		t.Fatal("expected infeasible LP")
 	}
 }
 
 func TestRoundGuarantees(t *testing.T) {
 	ins := simpleInstance()
-	y, lpObj, err := SolveLP(ins)
+	y, lpObj, err := solveLP(ins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +159,12 @@ func TestRoundIntegralInputIsIdentity(t *testing.T) {
 }
 
 func TestSolveEndToEnd(t *testing.T) {
-	assign, cost, lpObj, err := Solve(simpleInstance())
+	ins := simpleInstance()
+	y, lpObj, err := solveLP(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, cost, err := Round(ins, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +242,7 @@ func TestRandomInstancesTheorem311(t *testing.T) {
 			}
 		}
 		optInt := bruteGAP(ins)
-		y, lpObj, err := SolveLP(ins)
+		y, lpObj, err := solveLP(ins)
 		if err != nil {
 			// LP infeasible implies no integral solution either.
 			if !math.IsInf(optInt, 1) {

@@ -9,10 +9,12 @@ import (
 )
 
 // Skeleton is a reusable LP model of one GAP instance's sparsity pattern:
-// which (machine, job) pairs are allowed and which rows exist. Costs and
-// capacities can be re-set between solves without rebuilding the model, and
-// repeated solves reuse the previous optimal basis through lp.SolveHot —
-// the incremental path of the daemon's per-tick shard re-planning.
+// which (machine, job) pairs are allowed and which rows exist. It is the
+// only route to the relaxation: a fresh skeleton's first solve is cold (the
+// one-shot Theorem 5.1 solve), and costs and capacities can be re-set
+// between solves without rebuilding the model, repeated solves reusing the
+// previous optimal basis through lp.SolveHot — the incremental path of the
+// daemon's per-tick shard re-planning.
 //
 // The allowed-pair pattern is fixed at construction from the instance's
 // Load matrix: a +Inf load never gets a variable. Later capacity edits may
@@ -23,7 +25,6 @@ type Skeleton struct {
 	// value records through the ambient package-level collector.
 	Rec obs.Rec
 
-	ins    *Instance
 	m, n   int
 	prob   *lp.Problem
 	vars   [][]int // vars[i][j] = LP variable of pair (i,j), -1 if forbidden
@@ -31,16 +32,14 @@ type Skeleton struct {
 	ws     *lp.Workspace
 }
 
-// buildLP validates the instance and constructs the relaxation (15)–(18):
-// minimize Σ c_ij y_ij subject to Σ_i y_ij = 1 per job, Σ_j p_ij y_ij ≤ T_i
-// per machine, y ≥ 0, forbidden (+Inf-load) pairs getting no variable. Both
-// the one-shot SolveLP and NewSkeleton run exactly this code, so their
-// constructions — and hence cold pivot sequences — are bit-for-bit
-// identical. capRow, when non-nil (len = machines), records each machine's
-// capacity-row index (-1 if the machine has no positive-load pair).
-func buildLP(ins *Instance, capRow []int) (*lp.Problem, [][]int, error) {
+// NewSkeleton validates the instance and builds the relaxation (15)–(18)
+// once: minimize Σ c_ij y_ij subject to Σ_i y_ij = 1 per job,
+// Σ_j p_ij y_ij ≤ T_i per machine and y ≥ 0, where forbidden (+Inf-load)
+// pairs get no variable and a machine with no positive-load pair gets no
+// capacity row.
+func NewSkeleton(ins *Instance) (*Skeleton, error) {
 	if err := ins.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m, n := ins.NumMachines(), ins.NumJobs()
 	prob := lp.NewProblem()
@@ -64,14 +63,13 @@ func buildLP(ins *Instance, capRow []int) (*lp.Problem, [][]int, error) {
 			}
 		}
 		if len(terms) == 0 {
-			return nil, nil, fmt.Errorf("gap: job %d has no allowed machine", j)
+			return nil, fmt.Errorf("gap: job %d has no allowed machine", j)
 		}
 		prob.AddConstraint(terms, lp.EQ, 1)
 	}
+	capRow := make([]int, m)
 	for i := 0; i < m; i++ {
-		if capRow != nil {
-			capRow[i] = -1
-		}
+		capRow[i] = -1
 		terms = terms[:0]
 		for j := 0; j < n; j++ {
 			if vars[i][j] >= 0 && ins.Load[i][j] > 0 {
@@ -79,34 +77,11 @@ func buildLP(ins *Instance, capRow []int) (*lp.Problem, [][]int, error) {
 			}
 		}
 		if len(terms) > 0 {
-			if capRow != nil {
-				capRow[i] = prob.NumConstraints()
-			}
+			capRow[i] = prob.NumConstraints()
 			prob.AddConstraint(terms, lp.LE, ins.T[i])
 		}
 	}
-	return prob, vars, nil
-}
-
-// NewSkeleton validates the instance and builds its LP model once, via the
-// same construction SolveLP runs, so that solving the skeleton is
-// bit-for-bit identical to the one-shot path.
-func NewSkeleton(ins *Instance) (*Skeleton, error) {
-	m := ins.NumMachines()
-	capRow := make([]int, m)
-	prob, vars, err := buildLP(ins, capRow)
-	if err != nil {
-		return nil, err
-	}
-	return &Skeleton{
-		ins:    ins,
-		m:      m,
-		n:      ins.NumJobs(),
-		prob:   prob,
-		vars:   vars,
-		capRow: capRow,
-		ws:     lp.NewWorkspace(),
-	}, nil
+	return &Skeleton{m: m, n: n, prob: prob, vars: vars, capRow: capRow, ws: lp.NewWorkspace()}, nil
 }
 
 // SetCosts overwrites the objective with a new cost matrix (same shape as
@@ -146,21 +121,8 @@ func (sk *Skeleton) SetCapacities(t []float64) error {
 	return nil
 }
 
-// Forbid fixes the pair (machine i, job j) to zero (or releases it) on top
-// of the structural pattern, letting one skeleton serve solves that exclude
-// different pair subsets. It reports false when the pair is structurally
-// forbidden (no variable exists). Toggling forces the next solve cold.
-func (sk *Skeleton) Forbid(i, j int, forbidden bool) bool {
-	v := sk.vars[i][j]
-	if v < 0 {
-		return false
-	}
-	sk.prob.SetFixed(v, forbidden)
-	return true
-}
-
-// ResetWarm discards the retained basis so the next solve runs cold.
-// Benchmarks use it to isolate the cold path.
+// ResetWarm discards the retained basis so the next solve runs cold, as a
+// fresh skeleton's first solve does.
 func (sk *Skeleton) ResetWarm() { sk.ws.ResetWarm() }
 
 // SolveLP solves the current relaxation, returning the fractional solution

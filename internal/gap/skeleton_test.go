@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"quorumplace/internal/lp"
 )
 
 // randomInstance builds a feasible random GAP instance: every job fits on
@@ -28,8 +30,64 @@ func randomInstance(rng *rand.Rand, m, n int) *Instance {
 	return ins
 }
 
-// TestSkeletonMatchesSolveLPBitwise pins that a fresh skeleton's first
-// solve is bit-for-bit the legacy SolveLP path.
+// referenceLP builds the relaxation (15)–(18) straight from its definition
+// (variables machine-major, one equality row per job, then one capacity
+// row per machine that has a positive-load allowed pair) and solves it
+// one-shot through lp.Problem.Solve's pooled workspace.
+func referenceLP(t *testing.T, ins *Instance) ([][]float64, float64) {
+	t.Helper()
+	m, n := ins.NumMachines(), ins.NumJobs()
+	prob := lp.NewProblem()
+	vars := make([][]int, m)
+	for i := range vars {
+		vars[i] = make([]int, n)
+		for j := range vars[i] {
+			vars[i][j] = -1
+			if !math.IsInf(ins.Load[i][j], 1) {
+				vars[i][j] = prob.AddVar(ins.Cost[i][j], "")
+			}
+		}
+	}
+	for j := 0; j < n; j++ {
+		var terms []lp.Term
+		for i := 0; i < m; i++ {
+			if vars[i][j] >= 0 {
+				terms = append(terms, lp.Term{Var: vars[i][j], Coef: 1})
+			}
+		}
+		prob.AddConstraint(terms, lp.EQ, 1)
+	}
+	for i := 0; i < m; i++ {
+		var terms []lp.Term
+		for j := 0; j < n; j++ {
+			if vars[i][j] >= 0 && ins.Load[i][j] > 0 {
+				terms = append(terms, lp.Term{Var: vars[i][j], Coef: ins.Load[i][j]})
+			}
+		}
+		if len(terms) > 0 {
+			prob.AddConstraint(terms, lp.LE, ins.T[i])
+		}
+	}
+	sol, err := prob.Solve()
+	if err != nil {
+		t.Fatalf("reference LP: %v", err)
+	}
+	y := make([][]float64, m)
+	for i := range y {
+		y[i] = make([]float64, n)
+		for j := range y[i] {
+			if vars[i][j] >= 0 {
+				y[i][j] = sol.X[vars[i][j]]
+			}
+		}
+	}
+	return y, sol.Objective
+}
+
+// TestSkeletonMatchesSolveLPBitwise checks that a skeleton's cold solve is
+// the one-shot LP solve of the relaxation bit for bit: a fresh skeleton's
+// first solve, and a re-solve after its costs were moved away, solved
+// warm, restored and ResetWarm, both equal referenceLP exactly.
 func TestSkeletonMatchesSolveLPBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
@@ -37,28 +95,47 @@ func TestSkeletonMatchesSolveLPBitwise(t *testing.T) {
 		if trial%2 == 1 {
 			ins.Load[0][0] = math.Inf(1) // exercise the forbidden-pair pattern
 		}
-		yA, objA, err := SolveLP(ins)
-		if err != nil {
-			t.Fatalf("trial %d: SolveLP: %v", trial, err)
-		}
+		yA, objA := referenceLP(t, ins)
 		sk, err := NewSkeleton(ins)
 		if err != nil {
 			t.Fatalf("trial %d: NewSkeleton: %v", trial, err)
 		}
-		yB, objB, warm, err := sk.SolveLP()
-		if err != nil {
-			t.Fatalf("trial %d: skeleton SolveLP: %v", trial, err)
+		other := make([][]float64, len(ins.Cost))
+		for i := range other {
+			other[i] = make([]float64, len(ins.Cost[i]))
+			for j := range other[i] {
+				other[i][j] = 1 + 9*rng.Float64()
+			}
 		}
-		if warm {
-			t.Fatalf("trial %d: first skeleton solve claimed warm", trial)
-		}
-		if objA != objB {
-			t.Fatalf("trial %d: objective differs bitwise: %v vs %v", trial, objA, objB)
-		}
-		for i := range yA {
-			for j := range yA[i] {
-				if yA[i][j] != yB[i][j] {
-					t.Fatalf("trial %d: y[%d][%d] differs bitwise: %v vs %v", trial, i, j, yA[i][j], yB[i][j])
+		for pass, name := range []string{"fresh", "reset"} {
+			if pass == 1 {
+				if err := sk.SetCosts(other); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, warm, err := sk.SolveLP(); err != nil || !warm {
+					t.Fatalf("trial %d: re-costed solve: warm=%v err=%v, want warm", trial, warm, err)
+				}
+				if err := sk.SetCosts(ins.Cost); err != nil {
+					t.Fatal(err)
+				}
+				sk.ResetWarm()
+			}
+			yB, objB, warm, err := sk.SolveLP()
+			if err != nil {
+				t.Fatalf("trial %d %s: skeleton SolveLP: %v", trial, name, err)
+			}
+			if warm {
+				t.Fatalf("trial %d %s: skeleton solve claimed warm", trial, name)
+			}
+			if objA != objB {
+				t.Fatalf("trial %d %s: objective differs bitwise: %v vs %v", trial, name, objA, objB)
+			}
+			for i := range yA {
+				for j := range yA[i] {
+					if yA[i][j] != yB[i][j] {
+						t.Fatalf("trial %d %s: y[%d][%d] differs bitwise: %v vs %v",
+							trial, name, i, j, yA[i][j], yB[i][j])
+					}
 				}
 			}
 		}
@@ -66,7 +143,7 @@ func TestSkeletonMatchesSolveLPBitwise(t *testing.T) {
 }
 
 // TestSkeletonWarmResolve drives cost and capacity edits through one
-// skeleton, comparing every solve against a from-scratch SolveLP.
+// skeleton, comparing every solve against a fresh skeleton's cold solve.
 func TestSkeletonWarmResolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ins := randomInstance(rng, 4, 10)
@@ -104,7 +181,7 @@ func TestSkeletonWarmResolve(t *testing.T) {
 			warmCount++
 		}
 		ref := &Instance{Cost: cost, Load: ins.Load, T: caps}
-		yRef, objRef, err := SolveLP(ref)
+		yRef, objRef, err := solveLP(ref)
 		if err != nil {
 			t.Fatalf("iter %d: reference: %v", iter, err)
 		}
@@ -125,50 +202,6 @@ func TestSkeletonWarmResolve(t *testing.T) {
 	}
 	if warmCount == 0 {
 		t.Fatal("no solve took the warm path")
-	}
-}
-
-// TestSkeletonForbid checks SetFixed-based pair exclusion on top of the
-// structural pattern.
-func TestSkeletonForbid(t *testing.T) {
-	ins := simpleInstance()
-	sk, err := NewSkeleton(ins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := sk.SolveLP(); err != nil {
-		t.Fatal(err)
-	}
-	if !sk.Forbid(0, 0, true) {
-		t.Fatal("Forbid on an allowed pair returned false")
-	}
-	y, _, _, err := sk.SolveLP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y[0][0] != 0 {
-		t.Fatalf("forbidden pair got mass %v", y[0][0])
-	}
-	// Releasing restores the original optimum.
-	if !sk.Forbid(0, 0, false) {
-		t.Fatal("release returned false")
-	}
-	_, obj, _, err := sk.SolveLP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(obj-7) > 1e-6 {
-		t.Fatalf("objective %v after release, want 7", obj)
-	}
-	// Structurally forbidden pairs have no variable to fix.
-	ins2 := simpleInstance()
-	ins2.Load[1][2] = math.Inf(1)
-	sk2, err := NewSkeleton(ins2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sk2.Forbid(1, 2, true) {
-		t.Fatal("Forbid on a structurally forbidden pair returned true")
 	}
 }
 

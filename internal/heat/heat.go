@@ -160,12 +160,10 @@ func (s *Sketch) cell(idx int64) *epochCell {
 // time — that is when the load lands on the nodes. Negative clients and
 // times that are negative, NaN or past the int64 epoch range are dropped.
 func (s *Sketch) Observe(at float64, client int, nodes []int) {
-	x := at / s.epochLen
-	// Written so that NaN, which fails every comparison, is dropped.
-	if client < 0 || !(at >= 0) || !(x < 0x1p63) {
+	idx, ok := s.Epoch(at)
+	if client < 0 || !ok {
 		return
 	}
-	idx := int64(x)
 	s.mu.Lock()
 	cell := s.lastCell
 	if cell == nil || idx != s.lastIdx {
@@ -422,6 +420,24 @@ func (s *Sketch) Merge(o *Sketch) error {
 
 // EpochLen returns the resolved virtual-time length of one epoch bucket.
 func (s *Sketch) EpochLen() float64 { return s.epochLen }
+
+// Epoch returns the epoch index of virtual time at, and whether Observe
+// records an access at that time: it does not when at is negative or NaN,
+// or when its epoch index passes the int64 range.
+func (s *Sketch) Epoch(at float64) (int64, bool) {
+	x := at / s.epochLen
+	// Written so that NaN, which fails every comparison, is unobservable.
+	if !(at >= 0) || !(x < 0x1p63) {
+		return 0, false
+	}
+	return int64(x), true
+}
+
+// Window returns W = ⌈8·HalfLife⌉, the number of epochs behind the newest
+// one that the sketch keeps raw. A write at most W epochs behind the newest
+// epoch at the previous rate read still counts in the rates; one further
+// back may land in a sealed epoch and count only in the totals and Late.
+func (s *Sketch) Window() int64 { return s.window }
 
 // MergeShifted is Merge with o's epoch indices displaced by shift epochs:
 // an observation o recorded in its epoch e lands in s's epoch e+shift.

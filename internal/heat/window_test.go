@@ -189,6 +189,37 @@ func TestWindowBoundsCells(t *testing.T) {
 	}
 }
 
+// TestWindowAndEpoch pins the two rules the daemon's /observe validation
+// reads from the sketch: W = ⌈8·HalfLife⌉ (default half-life 8, clamped at
+// 2⁶² so a huge half-life never seals), and the epoch of a time, which
+// Observe records exactly when Epoch reports it observable.
+func TestWindowAndEpoch(t *testing.T) {
+	for _, c := range []struct {
+		hl   float64
+		want int64
+	}{{0, 64}, {1, 8}, {2.5, 20}, {1e300, 1 << 62}} {
+		if got := New(Options{HalfLife: c.hl}).Window(); got != c.want {
+			t.Fatalf("half-life %v: window %d, want %d", c.hl, got, c.want)
+		}
+	}
+	s := New(Options{EpochLen: 2})
+	for _, c := range []struct {
+		at   float64
+		want int64
+		ok   bool
+	}{
+		{0, 0, true}, {3.5, 1, true}, {0x1p63, 1 << 62, true},
+		{-0.5, 0, false}, {math.NaN(), 0, false}, {math.Inf(1), 0, false}, {0x1p64, 0, false},
+	} {
+		before := s.Accesses()
+		s.Observe(c.at, 0, nil)
+		recorded := s.Accesses() > before
+		if got, ok := s.Epoch(c.at); got != c.want || ok != c.ok || recorded != c.ok {
+			t.Fatalf("at %v: Epoch = %d,%v and recorded %v; want %d,%v", c.at, got, ok, recorded, c.want, c.ok)
+		}
+	}
+}
+
 // TestLateWriteRule pins what a write into a sealed epoch does: it counts
 // in every exact total and in Late, and is left out of the rates.
 func TestLateWriteRule(t *testing.T) {

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"quorumplace/internal/gap"
 	"quorumplace/internal/placement"
 )
 
@@ -49,72 +48,15 @@ type Plan struct {
 
 // Solve computes a placement minimizing AvgΓ + λ·movement-from-oldP via the
 // GAP reduction, with node loads within 2·cap (Theorem 5.1's guarantee
-// applied to the combined objective). λ must be non-negative.
+// applied to the combined objective). λ must be non-negative. It is one
+// cold Plan of a fresh full-universe Planner.
 func Solve(ins *placement.Instance, oldP placement.Placement, lambda float64) (*Plan, error) {
-	if err := ins.Validate(oldP); err != nil {
-		return nil, fmt.Errorf("migrate: %w", err)
-	}
-	if lambda < 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
-		return nil, fmt.Errorf("migrate: lambda = %v must be a finite non-negative value", lambda)
-	}
-	n := ins.M.N()
-	nU := ins.Sys.Universe()
-	// Rate-weighted average client distance to each node, matching the
-	// Avg_v Γ objective under Instance.Rates (the §6 extension).
-	avgDist := make([]float64, n)
-	wsum := 0.0
-	for v2 := 0; v2 < n; v2++ {
-		w := 1.0
-		if ins.Rates != nil {
-			w = ins.Rates[v2]
-		}
-		wsum += w
-	}
-	for v := 0; v < n; v++ {
-		sum := 0.0
-		for v2 := 0; v2 < n; v2++ {
-			w := 1.0
-			if ins.Rates != nil {
-				w = ins.Rates[v2]
-			}
-			sum += w * ins.M.D(v2, v)
-		}
-		avgDist[v] = sum / wsum
-	}
-	g := &gap.Instance{
-		Cost: make([][]float64, n),
-		Load: make([][]float64, n),
-		T:    append([]float64(nil), ins.Cap...),
-	}
-	for v := 0; v < n; v++ {
-		g.Cost[v] = make([]float64, nU)
-		g.Load[v] = make([]float64, nU)
-		for u := 0; u < nU; u++ {
-			l := ins.Load(u)
-			g.Cost[v][u] = l*avgDist[v] + lambda*l*ins.M.D(oldP.Node(u), v)
-			if l > ins.Cap[v]*(1+1e-9) {
-				g.Load[v][u] = math.Inf(1)
-			} else {
-				g.Load[v][u] = l
-			}
-		}
-	}
-	assign, _, lpObj, err := gap.Solve(g)
-	if err != nil {
-		return nil, fmt.Errorf("migrate: GAP: %w", err)
-	}
-	pl := placement.NewPlacement(assign)
-	moved, err := Cost(ins, oldP, pl)
+	pl, err := NewPlanner(ins, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{
-		Placement: pl,
-		AvgDelay:  ins.AvgTotalDelay(pl),
-		Moved:     moved,
-		Lambda:    lambda,
-		LPBound:   lpObj,
-	}, nil
+	plan, _, err := pl.Plan(oldP, lambda)
+	return plan, err
 }
 
 // ParetoSweep solves Plan for each λ and returns the plans in order. Use it
@@ -132,9 +74,15 @@ func ParetoSweep(ins *placement.Instance, oldP placement.Placement, lambdas []fl
 			return nil, fmt.Errorf("migrate: lambda[%d] = %v must be a finite non-negative value", i, l)
 		}
 	}
+	pl, err := NewPlanner(ins, nil)
+	if err != nil {
+		return nil, err
+	}
 	plans := make([]*Plan, 0, len(lambdas))
 	for _, l := range lambdas {
-		p, err := Solve(ins, oldP, l)
+		// Every λ solves cold, so each plan is Solve's for that λ alone.
+		pl.ResetWarm()
+		p, _, err := pl.Plan(oldP, l)
 		if err != nil {
 			return nil, err
 		}

@@ -32,14 +32,11 @@ type ShardPlan struct {
 // at the cost of a slightly weaker p_max term in the Theorem 5.1 load
 // bound. A Planner is not safe for concurrent use.
 type Planner struct {
-	ins     *placement.Instance
-	elems   []int
-	g       *gap.Instance
-	sk      *gap.Skeleton
-	rws     *gap.Workspace
-	avgDist []float64
-	cost    [][]float64
-	caps    []float64
+	ins   *placement.Instance
+	elems []int
+	g     *gap.Instance // TotalDelayGAP(elems); each solve re-costs it and resets its budgets
+	sk    *gap.Skeleton
+	rws   *gap.Workspace
 }
 
 // NewPlanner builds a planner for the given universe elements; nil means
@@ -67,40 +64,12 @@ func NewPlanner(ins *placement.Instance, elems []int) (*Planner, error) {
 	if len(elems) == 0 {
 		return nil, fmt.Errorf("migrate: planner needs at least one element")
 	}
-	n := ins.M.N()
-	g := &gap.Instance{
-		Cost: make([][]float64, n),
-		Load: make([][]float64, n),
-		T:    append([]float64(nil), ins.Cap...),
-	}
-	for v := 0; v < n; v++ {
-		g.Cost[v] = make([]float64, len(elems))
-		g.Load[v] = make([]float64, len(elems))
-		for i, u := range elems {
-			l := ins.Load(u)
-			if l > ins.Cap[v]*(1+1e-9) {
-				g.Load[v][i] = math.Inf(1)
-			} else {
-				g.Load[v][i] = l
-			}
-		}
-	}
+	g := ins.TotalDelayGAP(elems)
 	sk, err := gap.NewSkeleton(g)
 	if err != nil {
 		return nil, fmt.Errorf("migrate: %w", err)
 	}
-	return &Planner{
-		ins:   ins,
-		elems: elems,
-		g:     g,
-		sk:    sk,
-		rws:   gap.NewWorkspace(),
-		// cost aliases g.Cost so both the skeleton re-cost and the
-		// rounding's edge costs see each solve's current values.
-		cost:    g.Cost,
-		caps:    g.T, // likewise, capacity edits flow into the rounding instance
-		avgDist: make([]float64, n),
-	}, nil
+	return &Planner{ins: ins, elems: elems, g: g, sk: sk, rws: gap.NewWorkspace()}, nil
 }
 
 // Elements returns the planner's element subset (not a copy; do not mutate).
@@ -108,33 +77,6 @@ func (pl *Planner) Elements() []int { return pl.elems }
 
 // ResetWarm discards the retained LP basis so the next solve runs cold.
 func (pl *Planner) ResetWarm() { pl.sk.ResetWarm() }
-
-// refreshAvgDist recomputes the rate-weighted average client distance to
-// each node under the instance's current Rates, in the exact operation
-// order of Solve so full-universe cold plans match it bitwise.
-func (pl *Planner) refreshAvgDist() {
-	ins := pl.ins
-	n := ins.M.N()
-	wsum := 0.0
-	for v2 := 0; v2 < n; v2++ {
-		w := 1.0
-		if ins.Rates != nil {
-			w = ins.Rates[v2]
-		}
-		wsum += w
-	}
-	for v := 0; v < n; v++ {
-		sum := 0.0
-		for v2 := 0; v2 < n; v2++ {
-			w := 1.0
-			if ins.Rates != nil {
-				w = ins.Rates[v2]
-			}
-			sum += w * ins.M.D(v2, v)
-		}
-		pl.avgDist[v] = sum / wsum
-	}
-}
 
 // Solve re-plans the planner's elements against the (full) incumbent
 // placement: minimize Σ load·avgDist + λ·movement over the subset, under
@@ -155,18 +97,20 @@ func (pl *Planner) Solve(oldP placement.Placement, lambda float64, caps []float6
 	} else if len(caps) != n {
 		return nil, fmt.Errorf("migrate: %d capacities for %d nodes", len(caps), n)
 	}
-	pl.refreshAvgDist()
+	// Re-cost in place, so the rounding below sees the same costs and
+	// budgets as the LP.
 	for v := 0; v < n; v++ {
+		avgDist := ins.AvgDistToNode(v)
 		for i, u := range pl.elems {
 			l := ins.Load(u)
-			pl.cost[v][i] = l*pl.avgDist[v] + lambda*l*ins.M.D(oldP.Node(u), v)
+			pl.g.Cost[v][i] = l*avgDist + lambda*l*ins.M.D(oldP.Node(u), v)
 		}
 	}
-	if err := pl.sk.SetCosts(pl.cost); err != nil {
+	if err := pl.sk.SetCosts(pl.g.Cost); err != nil {
 		return nil, fmt.Errorf("migrate: %w", err)
 	}
-	copy(pl.caps, caps)
-	if err := pl.sk.SetCapacities(pl.caps); err != nil {
+	copy(pl.g.T, caps)
+	if err := pl.sk.SetCapacities(pl.g.T); err != nil {
 		return nil, fmt.Errorf("migrate: %w", err)
 	}
 	y, lpObj, warm, err := pl.sk.SolveLP()
@@ -185,9 +129,9 @@ func (pl *Planner) Solve(oldP placement.Placement, lambda float64, caps []float6
 	}, nil
 }
 
-// Plan is Solve over the full universe, composed into a *Plan like the
-// package-level Solve (whose cold result it matches bitwise). It returns an
-// error when the planner was built for a proper subset.
+// Plan is Solve over the full universe, composed into a *Plan; a cold Plan
+// is the package-level Solve. It returns an error when the planner was
+// built for a proper subset.
 func (pl *Planner) Plan(oldP placement.Placement, lambda float64) (*Plan, bool, error) {
 	if len(pl.elems) != pl.ins.Sys.Universe() {
 		return nil, false, fmt.Errorf("migrate: Plan needs a full-universe planner (%d of %d elements)",

@@ -10,29 +10,40 @@ import (
 	"quorumplace/internal/placement"
 )
 
-// TestPlannerMatchesSolveBitwise pins that a full-universe Planner's cold
-// Plan is bit-for-bit the package-level Solve over generated instances:
-// same placement, same delay/movement/bound floats. The daemon's replay
-// determinism rests on this equivalence.
+// TestPlannerMatchesSolveBitwise checks that a reused full-universe
+// planner, once ResetWarm, reproduces a fresh Solve bit for bit: before
+// each compared Plan the planner solves warm under another λ and under
+// halved residual capacities, so any cost or budget left over from an
+// earlier solve would show.
 func TestPlannerMatchesSolveBitwise(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		ci := check.Gen(seed)
 		old := ci.Planted
-		for _, lambda := range []float64{0, 0.7, 3} {
+		pl, err := NewPlanner(ci.Instance, nil)
+		if err != nil {
+			t.Fatalf("seed %d: NewPlanner: %v", seed, err)
+		}
+		half := make([]float64, len(ci.Cap))
+		for v, c := range ci.Cap {
+			half[v] = c / 2
+		}
+		for k, lambda := range []float64{0, 0.7, 3} {
 			want, err := Solve(ci.Instance, old, lambda)
 			if err != nil {
 				t.Fatalf("seed %d λ=%v: Solve: %v", seed, lambda, err)
 			}
-			pl, err := NewPlanner(ci.Instance, nil)
-			if err != nil {
-				t.Fatalf("seed %d: NewPlanner: %v", seed, err)
+			if k > 0 {
+				// Dirty the planner; the result (and a possible
+				// infeasibility under halved budgets) does not matter.
+				_, _ = pl.Solve(old, lambda+1, half)
+				pl.ResetWarm()
 			}
 			got, warm, err := pl.Plan(old, lambda)
 			if err != nil {
 				t.Fatalf("seed %d λ=%v: Plan: %v", seed, lambda, err)
 			}
 			if warm {
-				t.Fatalf("seed %d λ=%v: first planner solve claimed warm", seed, lambda)
+				t.Fatalf("seed %d λ=%v: planner solve after ResetWarm claimed warm", seed, lambda)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d λ=%v: planner plan differs from Solve:\n got %+v\nwant %+v",

@@ -30,34 +30,58 @@ type TotalDelayResult struct {
 	LPBound   float64 // GAP LP optimum ≤ optimal capacity-respecting delay
 }
 
-// SolveTotalDelay runs the Theorem 5.1 algorithm.
-func SolveTotalDelay(ins *Instance) (*TotalDelayResult, error) {
-	sp := obs.Start("placement.totaldelay")
-	defer sp.End()
-	n := ins.M.N()
-	nU := ins.Sys.Universe()
-	avgDist := make([]float64, n)
-	for v := 0; v < n; v++ {
-		avgDist[v] = ins.avgOverClients(func(v2 int) float64 { return ins.M.D(v2, v) })
+// TotalDelayGAP builds the Theorem 5.1 GAP over the given universe elements
+// (nil means the whole universe, in order). Job i is element u = elems[i]
+// and machine v is node v: assigning u to v costs load(u)·AvgDistToNode(v)
+// and consumes load(u) of cap(v). The pair is forbidden (+Inf load) when
+// load(u) > cap(v)·(1+capTol). Capacities are a copy of the instance's.
+// Elements must lie in the universe; callers that take element lists from
+// outside validate them first.
+func (ins *Instance) TotalDelayGAP(elems []int) *gap.Instance {
+	if elems == nil {
+		elems = make([]int, ins.Sys.Universe())
+		for u := range elems {
+			elems[u] = u
+		}
 	}
+	n := ins.M.N()
 	g := &gap.Instance{
 		Cost: make([][]float64, n),
 		Load: make([][]float64, n),
 		T:    append([]float64(nil), ins.Cap...),
 	}
 	for v := 0; v < n; v++ {
-		g.Cost[v] = make([]float64, nU)
-		g.Load[v] = make([]float64, nU)
-		for u := 0; u < nU; u++ {
-			g.Cost[v][u] = ins.loads[u] * avgDist[v]
-			if ins.loads[u] > ins.Cap[v]*(1+capTol) {
-				g.Load[v][u] = math.Inf(1)
+		avgDist := ins.AvgDistToNode(v)
+		g.Cost[v] = make([]float64, len(elems))
+		g.Load[v] = make([]float64, len(elems))
+		for i, u := range elems {
+			l := ins.loads[u]
+			g.Cost[v][i] = l * avgDist
+			if l > ins.Cap[v]*(1+capTol) {
+				g.Load[v][i] = math.Inf(1)
 			} else {
-				g.Load[v][u] = ins.loads[u]
+				g.Load[v][i] = l
 			}
 		}
 	}
-	assign, _, lpObj, err := gap.Solve(g)
+	return g
+}
+
+// SolveTotalDelay runs the Theorem 5.1 algorithm: one cold solve of the
+// TotalDelayGAP relaxation, rounded by Shmoys–Tardos.
+func SolveTotalDelay(ins *Instance) (*TotalDelayResult, error) {
+	sp := obs.Start("placement.totaldelay")
+	defer sp.End()
+	g := ins.TotalDelayGAP(nil)
+	sk, err := gap.NewSkeleton(g)
+	if err != nil {
+		return nil, fmt.Errorf("placement: total-delay GAP: %w", err)
+	}
+	y, lpObj, _, err := sk.SolveLP()
+	if err != nil {
+		return nil, fmt.Errorf("placement: total-delay GAP: %w", err)
+	}
+	assign, _, err := gap.Round(g, y)
 	if err != nil {
 		return nil, fmt.Errorf("placement: total-delay GAP: %w", err)
 	}

@@ -56,6 +56,17 @@ if [ "$smoke_ok" != "1" ]; then
 fi
 echo "exposition smoke passed"
 
+echo "== experiment suite sweep (qppeval full mode, seeds 1-8)"
+# -quick passes at every seed, so only full mode catches an experiment that
+# aborts on some seeds' draws (E10 once did at seed 4). Tables are
+# discarded; a failing seed's error reaches stderr.
+for seed in $(seq 1 8); do
+    if ! /tmp/qppeval_smoke -seed "$seed" >/dev/null; then
+        echo "qppeval -seed $seed exited nonzero" >&2
+        exit 1
+    fi
+done
+
 echo "== perf gate (fresh benchmark run vs the latest committed snapshot)"
 BENCHTIME=0.05s OUT=/tmp/bench_check.json ./scripts/bench.sh
 # The baseline was recorded at this 0.05s benchtime with maxprocs equal to
