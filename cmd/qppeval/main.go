@@ -1,6 +1,7 @@
 // Command qppeval runs the paper-reproduction experiment suite (E1–E11 of
 // DESIGN.md) and prints one table per experiment, pairing each paper bound
-// with the measured quantity. EXPERIMENTS.md is generated from its output.
+// with the measured quantity. EXPERIMENTS.md's full-output appendix is its
+// output at -seed 1, and TestExperimentsAppendixIsCurrent fails on drift.
 //
 // -trace-out attaches an access recorder to the suite, so every
 // discrete-event simulation the experiments run (E11 validation, E15

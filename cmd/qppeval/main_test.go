@@ -194,3 +194,39 @@ func (s *syncBuffer) String() string {
 	defer s.mu.Unlock()
 	return s.b.String()
 }
+
+// TestExperimentsAppendixIsCurrent pins EXPERIMENTS.md's full-output
+// appendix to what `qppeval -seed 1` prints today, byte for byte, so a
+// change that moves any table row must re-record the appendix with it.
+func TestExperimentsAppendixIsCurrent(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const open = "## Full output (`go run ./cmd/qppeval -seed 1`)\n\n```\n"
+	i := bytes.Index(doc, []byte(open))
+	j := bytes.LastIndex(doc, []byte("```"))
+	if i < 0 || j < i+len(open) {
+		t.Fatal("EXPERIMENTS.md has no fenced full-output appendix")
+	}
+	want := string(doc[i+len(open) : j])
+	var out, errOut bytes.Buffer
+	if err := run([]string{"-seed", "1"}, &out, &errOut); err != nil {
+		t.Fatalf("qppeval -seed 1: %v\n%s", err, errOut.String())
+	}
+	if got := out.String(); got != want {
+		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+		for k := 0; k < len(gl) || k < len(wl); k++ {
+			var g, w string
+			if k < len(gl) {
+				g = gl[k]
+			}
+			if k < len(wl) {
+				w = wl[k]
+			}
+			if g != w {
+				t.Fatalf("appendix line %d is stale; re-record it from `go run ./cmd/qppeval -seed 1`:\n  appendix: %q\n  qppeval:  %q", k+1, w, g)
+			}
+		}
+	}
+}

@@ -10,16 +10,15 @@
 // Determinism contract: a Demand accumulates per-node partial sums, and a
 // node's sum is the only float state a client touches. When client weights
 // are integers (the common "k clients at node v" shape), every per-node sum
-// is exact until 2^53, so any sharding, ordering, or merge plan yields the
-// bitwise-identical Rates vector — and hence a bitwise-identical solve.
-// Fractional weights are subject to ordinary summation rounding; the tests
-// pin them to 1e-12 relative agreement across orderings.
+// is exact until 2^53, so any arrival order yields the bitwise-identical
+// Rates vector — and hence a bitwise-identical solve. Fractional weights
+// are subject to ordinary summation rounding; the tests pin them to 1e-12
+// relative agreement across orderings.
 package agg
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"quorumplace/internal/obs"
 )
@@ -97,95 +96,7 @@ func (d *Demand) AddClients(cs []Client) error {
 	return nil
 }
 
-// Merge folds another demand over the same node set into d. Per-node sums
-// add componentwise, so merging shard partials commutes with direct
-// accumulation whenever the underlying additions are exact (integer
-// weights).
-func (d *Demand) Merge(o *Demand) error {
-	if len(o.w) != len(d.w) {
-		return fmt.Errorf("agg: merging demand over %d nodes into %d nodes", len(o.w), len(d.w))
-	}
-	for v, x := range o.w {
-		d.w[v] += x
-	}
-	d.clients += o.clients
-	return nil
-}
-
 // Rates returns a copy of the per-node weight vector, ready for
 // placement.Instance.SetRates. At least one client with positive weight
 // must have been accumulated (SetRates rejects all-zero rates).
 func (d *Demand) Rates() []float64 { return append([]float64(nil), d.w...) }
-
-// Sharded accumulates demand across independent shards so huge client
-// streams can be ingested concurrently (one shard per worker, no locking)
-// and then merged. Merge order is fixed (shard 0, 1, …), so the combined
-// vector is deterministic for a fixed client-to-shard assignment — and,
-// with integer weights, identical for every assignment.
-type Sharded struct {
-	shards []*Demand
-}
-
-// NewSharded returns k independent shards over an n-node network.
-func NewSharded(n, k int) *Sharded {
-	if k <= 0 {
-		panic(fmt.Sprintf("agg: %d shards", k))
-	}
-	s := &Sharded{shards: make([]*Demand, k)}
-	for i := range s.shards {
-		s.shards[i] = NewDemand(n)
-	}
-	return s
-}
-
-// Shard returns shard i for exclusive use by one ingesting worker.
-func (s *Sharded) Shard(i int) *Demand { return s.shards[i] }
-
-// Merge combines all shards into one fresh Demand, in shard order.
-func (s *Sharded) Merge() (*Demand, error) {
-	out := NewDemand(s.shards[0].Nodes())
-	for _, sh := range s.shards {
-		if err := out.Merge(sh); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Class is one distance class of a demand vector relative to some source:
-// the total weight and node count sitting at exactly distance Dist.
-type Class struct {
-	Dist   float64
-	Weight float64
-	Nodes  int
-}
-
-// Classes collapses the demand into distance classes along dist (typically
-// a metric row or tree distance vector): nodes are grouped by exact
-// distance value, classes sorted by increasing distance, zero-weight nodes
-// dropped. Because the grouping is by value, Σ_c Weight_c·g(Dist_c) equals
-// the per-node Σ_v w_v·g(dist_v) for any per-distance cost g up to
-// summation rounding — the class-space form the SSQPP LP consumes.
-func (d *Demand) Classes(dist []float64) ([]Class, error) {
-	if len(dist) != len(d.w) {
-		return nil, fmt.Errorf("agg: %d distances for %d nodes", len(dist), len(d.w))
-	}
-	byDist := make(map[float64]int, 16)
-	var out []Class
-	for v, w := range d.w {
-		if w == 0 {
-			continue
-		}
-		i, ok := byDist[dist[v]]
-		if !ok {
-			i = len(out)
-			byDist[dist[v]] = i
-			out = append(out, Class{Dist: dist[v]})
-		}
-		out[i].Weight += w
-		out[i].Nodes++
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
-	obs.Gauge("agg.classes", float64(len(out)))
-	return out, nil
-}

@@ -41,9 +41,6 @@ func TestDemandBasics(t *testing.T) {
 	if err := d.Add(1, -1); err == nil {
 		t.Fatal("negative weight accepted")
 	}
-	if err := d.Merge(agg.NewDemand(5)); err == nil {
-		t.Fatal("mismatched merge accepted")
-	}
 }
 
 // syntheticClients draws a deterministic population with integer weights —
@@ -57,8 +54,8 @@ func syntheticClients(rng *rand.Rand, n, k int) []agg.Client {
 }
 
 // Integer-weight ingestion must produce the bitwise-identical rate vector
-// under any ordering or sharding, and therefore a bitwise-identical solve.
-func TestShardingBitIdentity(t *testing.T) {
+// under any arrival order, and therefore a bitwise-identical solve.
+func TestArrivalOrderBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n, k = 300, 200_000
 	clients := syntheticClients(rng, n, k)
@@ -68,20 +65,6 @@ func TestShardingBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sh := agg.NewSharded(n, 7)
-	for i, c := range clients {
-		if err := sh.Shard(i%7).Add(c.Node, c.Weight); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged, err := sh.Merge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Clients() != int64(k) {
-		t.Fatalf("merged %d clients, ingested %d", merged.Clients(), k)
-	}
-
 	perm := agg.NewDemand(n)
 	for _, i := range rng.Perm(k) {
 		if err := perm.Add(clients[i].Node, clients[i].Weight); err != nil {
@@ -89,10 +72,10 @@ func TestShardingBitIdentity(t *testing.T) {
 		}
 	}
 
-	a, b, c := seq.Rates(), merged.Rates(), perm.Rates()
+	a, b := seq.Rates(), perm.Rates()
 	for v := 0; v < n; v++ {
-		if a[v] != b[v] || a[v] != c[v] {
-			t.Fatalf("node %d: sequential %v, sharded %v, permuted %v", v, a[v], b[v], c[v])
+		if a[v] != b[v] {
+			t.Fatalf("node %d: sequential %v, permuted %v", v, a[v], b[v])
 		}
 	}
 
@@ -124,41 +107,7 @@ func TestShardingBitIdentity(t *testing.T) {
 		return res
 	}
 	if r1, r2 := mk(a), mk(b); !reflect.DeepEqual(r1, r2) {
-		t.Fatalf("resharded ingestion changed the solve:\n  %+v\n  %+v", r1, r2)
-	}
-}
-
-func TestClasses(t *testing.T) {
-	d := agg.NewDemand(6)
-	for v, w := range []float64{2, 0, 3, 1, 0, 4} {
-		if err := d.Add(v, w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dist := []float64{0, 1, 2, 2, 3, 1}
-	cls, err := d.Classes(dist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []agg.Class{{Dist: 0, Weight: 2, Nodes: 1}, {Dist: 1, Weight: 4, Nodes: 1}, {Dist: 2, Weight: 4, Nodes: 2}}
-	if !reflect.DeepEqual(cls, want) {
-		t.Fatalf("classes %+v, want %+v", cls, want)
-	}
-	// Class-space evaluation of any per-distance cost matches node space.
-	g := func(x float64) float64 { return 2*x + 1 }
-	nodeSum, rates := 0.0, d.Rates()
-	for v := range rates {
-		nodeSum += rates[v] * g(dist[v])
-	}
-	classSum := 0.0
-	for _, c := range cls {
-		classSum += c.Weight * g(c.Dist)
-	}
-	if math.Abs(nodeSum-classSum) > 1e-12*nodeSum {
-		t.Fatalf("node space %v, class space %v", nodeSum, classSum)
-	}
-	if _, err := d.Classes(dist[:3]); err == nil {
-		t.Fatal("length mismatch accepted")
+		t.Fatalf("reordered ingestion changed the solve:\n  %+v\n  %+v", r1, r2)
 	}
 }
 

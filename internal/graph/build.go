@@ -15,30 +15,16 @@ const DefaultDenseLimit = 4096
 // scalable representation instead of silently paying n² memory.
 var ErrMetricTooLarge = errors.New("graph: dense metric would exceed the size limit")
 
-// BuildOption configures BuildMetric.
-type BuildOption func(*buildConfig)
-
-type buildConfig struct{ denseLimit int }
-
-// WithDenseLimit overrides the vertex-count ceiling for the dense matrix.
-func WithDenseLimit(n int) BuildOption {
-	return func(c *buildConfig) { c.denseLimit = n }
-}
-
 // BuildMetric is the auto-selecting metric constructor: up to the dense
 // limit it computes the exact all-pairs metric with the parallel build;
 // beyond it, it refuses with ErrMetricTooLarge rather than allocating n²
 // floats behind the caller's back, directing them to the scalable paths —
 // NewLandmarkMetric for approximate distance queries, or the treedp tree
 // fast path, which needs no materialized metric at all.
-func BuildMetric(g *Graph, opts ...BuildOption) (*Metric, error) {
-	cfg := buildConfig{denseLimit: DefaultDenseLimit}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if g.N() > cfg.denseLimit {
+func BuildMetric(g *Graph) (*Metric, error) {
+	if g.N() > DefaultDenseLimit {
 		return nil, fmt.Errorf("%w: %d vertices > limit %d (use NewLandmarkMetric, or SolveQPPTree on trees)",
-			ErrMetricTooLarge, g.N(), cfg.denseLimit)
+			ErrMetricTooLarge, g.N(), DefaultDenseLimit)
 	}
 	return NewMetricFromGraph(g)
 }

@@ -15,7 +15,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 )
 
 // Graph is a weighted undirected multigraph on vertices 0..n-1.
@@ -268,18 +267,6 @@ func (m *Metric) AvgDistTo(v int) float64 {
 	return sum / float64(m.n)
 }
 
-// Median returns the vertex minimizing the average distance to all other
-// vertices (the 1-median), with ties broken toward the smaller index.
-func (m *Metric) Median() int {
-	best, bestVal := 0, math.Inf(1)
-	for v := 0; v < m.n; v++ {
-		if s := m.AvgDistTo(v); s < bestVal {
-			best, bestVal = v, s
-		}
-	}
-	return best
-}
-
 // NodesByDistance returns the vertex indices sorted by increasing distance
 // from src (src itself first), tie-broken by index. This is the ordering
 // v_0, v_1, ..., v_{n-1} with d_0 ≤ d_1 ≤ ... used by the SSQPP LP (§3.3).
@@ -296,36 +283,4 @@ func (m *Metric) NodesByDistance(src int) []int {
 		return order[a] < order[b]
 	})
 	return order
-}
-
-// Diameter returns the maximum pairwise distance.
-func (m *Metric) Diameter() float64 {
-	max := 0.0
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			if d := m.D(i, j); d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}
-
-// DOT renders the graph in Graphviz DOT format, useful for debugging
-// generated topologies.
-func (g *Graph) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "graph %s {\n", name)
-	for u := 0; u < g.n; u++ {
-		fmt.Fprintf(&b, "  %d;\n", u)
-	}
-	for u := 0; u < g.n; u++ {
-		for _, e := range g.adj[u] {
-			if u < e.To {
-				fmt.Fprintf(&b, "  %d -- %d [label=\"%g\"];\n", u, e.To, e.Length)
-			}
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

@@ -185,7 +185,15 @@ func TestBundledWANDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := m.Diameter(); d < 50 || d > 300 {
-		t.Fatalf("diameter %v ms outside plausible WAN range", d)
+	diameter := 0.0
+	for i := 0; i < m.N(); i++ {
+		for _, d := range m.Row(i) {
+			if d > diameter {
+				diameter = d
+			}
+		}
+	}
+	if diameter < 50 || diameter > 300 {
+		t.Fatalf("diameter %v ms outside plausible WAN range", diameter)
 	}
 }

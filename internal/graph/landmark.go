@@ -114,11 +114,6 @@ func (lm *LandmarkMetric) Lower(u, v int) float64 {
 	return best
 }
 
-// D returns the Upper estimate: an admissible overestimate of the true
-// distance, exact on pairs involving a landmark. Using the overestimate
-// keeps delay reports conservative.
-func (lm *LandmarkMetric) D(u, v int) float64 { return lm.Upper(u, v) }
-
 // ValidateSampled draws source vertices with the seeded generator,
 // recomputes their exact distance vectors, and checks every induced pair
 // against the sandwich Lower ≤ d ≤ Upper. It returns the maximum observed

@@ -220,7 +220,7 @@ func TestBuildMetricAuto(t *testing.T) {
 			}
 		}
 	}
-	if _, err := BuildMetric(g, WithDenseLimit(4)); !errors.Is(err, ErrMetricTooLarge) {
+	if _, err := BuildMetric(Path(DefaultDenseLimit + 1)); !errors.Is(err, ErrMetricTooLarge) {
 		t.Fatalf("got %v, want ErrMetricTooLarge", err)
 	}
 }

@@ -2,9 +2,6 @@ package graph
 
 import "fmt"
 
-// Graph transformations used to derive experiment topologies from base
-// graphs and to test metric-scaling properties of the placement pipeline.
-
 // Scale returns a copy of g with every edge length multiplied by factor.
 // Shortest-path distances scale by exactly the same factor, so delay
 // objectives are homogeneous under Scale — a property the placement tests
@@ -18,60 +15,6 @@ func Scale(g *Graph, factor float64) *Graph {
 		for _, e := range g.Neighbors(u) {
 			if u < e.To {
 				out.MustAddEdge(u, e.To, e.Length*factor)
-			}
-		}
-	}
-	return out
-}
-
-// Subdivide returns a copy of g where every edge is replaced by a path of
-// k unit segments through k-1 fresh vertices, each segment carrying length
-// original/k. Distances between original vertices are preserved while the
-// vertex count grows, which is useful for stress-testing solvers on larger
-// networks with known metric structure.
-func Subdivide(g *Graph, k int) *Graph {
-	if k < 1 {
-		panic(fmt.Sprintf("graph: subdivision factor %d must be ≥ 1", k))
-	}
-	if k == 1 {
-		return Scale(g, 1) // plain copy
-	}
-	out := New(g.N() + (k-1)*g.M())
-	next := g.N()
-	for u := 0; u < g.N(); u++ {
-		for _, e := range g.Neighbors(u) {
-			if u >= e.To {
-				continue
-			}
-			seg := e.Length / float64(k)
-			prev := u
-			for i := 0; i < k-1; i++ {
-				out.MustAddEdge(prev, next, seg)
-				prev = next
-				next++
-			}
-			out.MustAddEdge(prev, e.To, seg)
-		}
-	}
-	return out
-}
-
-// Disjoint returns the disjoint union of a and b (b's vertices are shifted
-// by a.N()); the result is disconnected until the caller bridges it.
-func Disjoint(a, b *Graph) *Graph {
-	out := New(a.N() + b.N())
-	for u := 0; u < a.N(); u++ {
-		for _, e := range a.Neighbors(u) {
-			if u < e.To {
-				out.MustAddEdge(u, e.To, e.Length)
-			}
-		}
-	}
-	off := a.N()
-	for u := 0; u < b.N(); u++ {
-		for _, e := range b.Neighbors(u) {
-			if u < e.To {
-				out.MustAddEdge(u+off, e.To+off, e.Length)
 			}
 		}
 	}

@@ -38,50 +38,3 @@ func TestScalePanics(t *testing.T) {
 	}()
 	Scale(Path(3), 0)
 }
-
-func TestSubdividePreservesDistances(t *testing.T) {
-	rng := rand.New(rand.NewSource(903))
-	g := ErdosRenyiConnected(8, 0.4, 1, 4, rng)
-	for _, k := range []int{1, 2, 3} {
-		sub := Subdivide(g, k)
-		wantN := g.N() + (k-1)*g.M()
-		if sub.N() != wantN {
-			t.Fatalf("k=%d: n=%d, want %d", k, sub.N(), wantN)
-		}
-		if sub.M() != k*g.M() {
-			t.Fatalf("k=%d: m=%d, want %d", k, sub.M(), k*g.M())
-		}
-		m1, err := NewMetricFromGraph(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m2, err := NewMetricFromGraph(sub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Distances between ORIGINAL vertices are preserved.
-		for i := 0; i < g.N(); i++ {
-			for j := 0; j < g.N(); j++ {
-				if math.Abs(m2.D(i, j)-m1.D(i, j)) > 1e-9 {
-					t.Fatalf("k=%d: d(%d,%d) changed: %v vs %v", k, i, j, m2.D(i, j), m1.D(i, j))
-				}
-			}
-		}
-	}
-}
-
-func TestDisjoint(t *testing.T) {
-	a, b := Path(3), Cycle(4)
-	d := Disjoint(a, b)
-	if d.N() != 7 || d.M() != a.M()+b.M() {
-		t.Fatalf("disjoint shape n=%d m=%d", d.N(), d.M())
-	}
-	if d.Connected() {
-		t.Fatal("disjoint union reported connected")
-	}
-	// Bridging reconnects.
-	d.MustAddEdge(0, 3, 1)
-	if !d.Connected() {
-		t.Fatal("bridged union disconnected")
-	}
-}

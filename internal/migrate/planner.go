@@ -72,9 +72,6 @@ func NewPlanner(ins *placement.Instance, elems []int) (*Planner, error) {
 	return &Planner{ins: ins, elems: elems, g: g, sk: sk, rws: gap.NewWorkspace()}, nil
 }
 
-// Elements returns the planner's element subset (not a copy; do not mutate).
-func (pl *Planner) Elements() []int { return pl.elems }
-
 // ResetWarm discards the retained LP basis so the next solve runs cold.
 func (pl *Planner) ResetWarm() { pl.sk.ResetWarm() }
 

@@ -421,7 +421,7 @@ func TestParseTraceSample(t *testing.T) {
 func TestRecorderSeriesCap(t *testing.T) {
 	ins, p := buildInstance(t)
 	rec := NewRecorder(16, 1, 0.1)
-	rec.SetSeriesCap(8)
+	rec.seriesCap = 8
 	_, err := Run(Config{
 		Instance: ins, Placement: p, Mode: Parallel,
 		AccessesPerClient: 50, InterAccessTime: 0.5, Seed: 7, Workers: 2,

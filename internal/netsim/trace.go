@@ -86,7 +86,7 @@ type Recorder struct {
 	nextLabel     string
 	labels        map[int]string
 	series        []TSample
-	seriesCap     int
+	seriesCap     int // defaultSeriesCap; tests lower it
 	seriesDropped int64
 
 	// Windowed SLO accounting (see slo.go). sloWindow ≤ 0 means off.
@@ -117,15 +117,6 @@ func NewRecorder(capacity, sampleEvery int, tsInterval float64) *Recorder {
 		seriesCap:   defaultSeriesCap,
 		labels:      make(map[int]string),
 	}
-}
-
-// SetSeriesCap bounds how many time-series samples the recorder retains
-// (≤ 0 removes the bound). Samples arriving past the cap are dropped and
-// counted; see SeriesDropped.
-func (r *Recorder) SetSeriesCap(max int) {
-	r.mu.Lock()
-	r.seriesCap = max
-	r.mu.Unlock()
 }
 
 // SeriesDropped returns how many time-series samples the cap discarded.
@@ -204,7 +195,7 @@ func (r *Recorder) add(tr AccessTrace) {
 // the series cap is reached.
 func (r *Recorder) addSample(s TSample) {
 	r.mu.Lock()
-	if r.seriesCap > 0 && len(r.series) >= r.seriesCap {
+	if len(r.series) >= r.seriesCap {
 		r.seriesDropped++
 	} else {
 		r.series = append(r.series, s)

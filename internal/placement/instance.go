@@ -204,16 +204,6 @@ func (ins *Instance) QuorumMaxDelay(v, qi int, p Placement) float64 {
 	return max
 }
 
-// QuorumTotalDelay returns γ_f(v, Q_i) = Σ_{u ∈ Q_i} d(v, f(u)) (§5).
-func (ins *Instance) QuorumTotalDelay(v, qi int, p Placement) float64 {
-	sum := 0.0
-	row := ins.M.Row(v)
-	for _, u := range ins.Sys.Quorum(qi) {
-		sum += row[p.f[u]]
-	}
-	return sum
-}
-
 // MaxDelayFrom returns Δ_f(v) = Σ_Q p(Q) δ_f(v, Q) (Eq. 2), the expected
 // max-delay for client v under the instance strategy.
 func (ins *Instance) MaxDelayFrom(v int, p Placement) float64 {

@@ -113,9 +113,6 @@ func TestDelayEvaluatorsHandChecked(t *testing.T) {
 		t.Fatalf("AvgMaxDelay = %v, want %v", got, 4.0/3)
 	}
 	// γ(1, Q1) = d(1,0)+d(1,2) = 2; Γ(1) = 0.5·1 + 0.5·2 = 1.5.
-	if got := ins.QuorumTotalDelay(1, 1, p); got != 2 {
-		t.Fatalf("QuorumTotalDelay(1,1) = %v, want 2", got)
-	}
 	if got := ins.TotalDelayFrom(1, p); got != 1.5 {
 		t.Fatalf("TotalDelayFrom(1) = %v, want 1.5", got)
 	}

@@ -87,44 +87,6 @@ func OptimizeStrategyForPlacement(ins *Instance, p Placement) (quorum.Strategy, 
 	return st, sol.Objective, nil
 }
 
-// CoordinateDescent alternates placement optimization (SolveQPP with the
-// current strategy) and strategy re-optimization for the resulting
-// placement, for the given number of rounds. It returns the best
-// (placement, strategy) pair found and the trajectory of objective values,
-// which is non-increasing across the strategy steps by LP optimality.
-func CoordinateDescent(ins *Instance, alpha float64, rounds int) (Placement, quorum.Strategy, []float64, error) {
-	if rounds < 1 {
-		return Placement{}, quorum.Strategy{}, nil, fmt.Errorf("placement: rounds = %d, want ≥ 1", rounds)
-	}
-	cur := ins
-	strat := ins.Strat
-	var trajectory []float64
-	var bestP Placement
-	for r := 0; r < rounds; r++ {
-		res, err := SolveQPP(cur, alpha)
-		if err != nil {
-			return Placement{}, quorum.Strategy{}, nil, err
-		}
-		bestP = res.Placement
-		trajectory = append(trajectory, cur.AvgMaxDelay(bestP))
-		newStrat, obj, err := OptimizeStrategyForPlacement(cur, bestP)
-		if err != nil {
-			// Capacities can make the strategy LP infeasible for the
-			// (α+1)-violating placement; stop the descent there.
-			return bestP, strat, trajectory, nil
-		}
-		trajectory = append(trajectory, obj)
-		strat = newStrat
-		next, err := NewInstance(cur.M, cur.Cap, cur.Sys, strat)
-		if err != nil {
-			return Placement{}, quorum.Strategy{}, nil, err
-		}
-		next.Rates = cur.Rates
-		cur = next
-	}
-	return bestP, strat, trajectory, nil
-}
-
 // OptimizePerClientStrategies generalizes OptimizeStrategyForPlacement to
 // the §6 per-client setting: each client v gets its own strategy p_v, the
 // objective is the (rate-weighted) average of each client's expected

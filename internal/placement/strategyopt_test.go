@@ -133,41 +133,6 @@ func TestOptimizeStrategyInfeasible(t *testing.T) {
 	}
 }
 
-// TestCoordinateDescentMonotoneOnStrategySteps: each strategy step's LP
-// objective is ≤ the placement evaluation preceding it.
-func TestCoordinateDescentMonotoneOnStrategySteps(t *testing.T) {
-	rng := rand.New(rand.NewSource(207))
-	ins := randomInstance(t, rng)
-	p, st, traj, err := placement.CoordinateDescent(ins, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ins.Validate(p); err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != ins.Sys.NumQuorums() {
-		t.Fatalf("strategy covers %d quorums, want %d", st.Len(), ins.Sys.NumQuorums())
-	}
-	if len(traj) < 1 {
-		t.Fatal("empty trajectory")
-	}
-	// Trajectory alternates placement-eval, strategy-LP, ...; each strategy
-	// value must not exceed the placement value before it.
-	for i := 1; i < len(traj); i += 2 {
-		if traj[i] > traj[i-1]+1e-6 {
-			t.Fatalf("strategy step %d worsened: %v -> %v (traj %v)", i, traj[i-1], traj[i], traj)
-		}
-	}
-}
-
-func TestCoordinateDescentValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(209))
-	ins := randomInstance(t, rng)
-	if _, _, _, err := placement.CoordinateDescent(ins, 2, 0); err == nil {
-		t.Fatal("zero rounds accepted")
-	}
-}
-
 // TestOptimizePerClientStrategies: per-client freedom never loses to the
 // single shared optimal strategy, the returned strategies are valid, and
 // the induced average-strategy loads respect capacities.

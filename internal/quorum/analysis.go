@@ -3,7 +3,6 @@ package quorum
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // This file provides the classical quality measures for quorum systems that
@@ -20,7 +19,7 @@ const maxExactAvailability = 20
 // FailureProbability returns the probability that no quorum is fully alive
 // when every element fails independently with probability p — the system's
 // failure probability F_p(Q). It enumerates all 2^n failure patterns, so
-// it requires universe ≤ 20; use EstimateFailureProbability beyond that.
+// it requires universe ≤ 20.
 func FailureProbability(s *System, p float64) (float64, error) {
 	n := s.universe
 	if n > maxExactAvailability {
@@ -46,41 +45,6 @@ func FailureProbability(s *System, p float64) (float64, error) {
 		total += math.Pow(1-p, float64(k)) * math.Pow(p, float64(n-k))
 	}
 	return total, nil
-}
-
-// EstimateFailureProbability estimates F_p(Q) by Monte Carlo with the given
-// number of samples.
-func EstimateFailureProbability(s *System, p float64, samples int, rng *rand.Rand) (float64, error) {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return 0, fmt.Errorf("quorum: failure probability %v outside [0,1]", p)
-	}
-	if samples <= 0 {
-		return 0, fmt.Errorf("quorum: need a positive sample count, got %d", samples)
-	}
-	if s.universe > 64 {
-		return 0, fmt.Errorf("quorum: universe %d exceeds the 64-element sampling limit", s.universe)
-	}
-	masks := s.quorumMasks()
-	failed := 0
-	for i := 0; i < samples; i++ {
-		var alive uint64
-		for u := 0; u < s.universe; u++ {
-			if rng.Float64() >= p {
-				alive |= 1 << uint(u)
-			}
-		}
-		survives := false
-		for _, qm := range masks {
-			if alive&qm == qm {
-				survives = true
-				break
-			}
-		}
-		if !survives {
-			failed++
-		}
-	}
-	return float64(failed) / float64(samples), nil
 }
 
 // Resilience returns the largest f such that every set of f element

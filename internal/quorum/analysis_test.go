@@ -67,37 +67,6 @@ func TestFailureProbabilityBounds(t *testing.T) {
 	}
 }
 
-func TestEstimateMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	systems := []*System{Majority(5, 3), Grid(2), Wheel(5), FPP(2)}
-	for _, s := range systems {
-		for _, p := range []float64{0.2, 0.5} {
-			exactF, err := FailureProbability(s, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			est, err := EstimateFailureProbability(s, p, 40000, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(est-exactF) > 0.01 {
-				t.Fatalf("%s p=%v: estimate %v vs exact %v", s.Name(), p, est, exactF)
-			}
-		}
-	}
-}
-
-func TestEstimateValidation(t *testing.T) {
-	s := Majority(3, 2)
-	rng := rand.New(rand.NewSource(1))
-	if _, err := EstimateFailureProbability(s, 0.5, 0, rng); err == nil {
-		t.Fatal("zero samples accepted")
-	}
-	if _, err := EstimateFailureProbability(s, 2, 10, rng); err == nil {
-		t.Fatal("p=2 accepted")
-	}
-}
-
 func TestResilience(t *testing.T) {
 	cases := []struct {
 		name string

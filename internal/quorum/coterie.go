@@ -130,19 +130,6 @@ func minimizeTransversal(hit uint64, masks []uint64) uint64 {
 	return hit
 }
 
-// Dual returns the dual system of s: its minimal transversals as quorums.
-// For a *non-dominated* coterie the dual equals the coterie itself
-// (self-duality); for dominated systems the transversal family may fail
-// pairwise intersection, in which case Dual returns an error — the family
-// itself is still available via Transversals.
-func Dual(s *System) (*System, error) {
-	trans := Transversals(s)
-	if len(trans) == 0 {
-		return nil, fmt.Errorf("quorum: %q has no transversals", s.name)
-	}
-	return NewSystem(s.name+"-dual", s.universe, trans)
-}
-
 // IsNonDominated reports whether the system's antichain is a non-dominated
 // coterie: no coterie D ≠ C has every quorum of C containing a quorum of D
 // (Garcia-Molina–Barbara). The classical characterization used here:

@@ -55,9 +55,9 @@ func TestTransversalsGridNonIntersecting(t *testing.T) {
 	if !found03 || !found12 {
 		t.Fatalf("expected disjoint transversals {0,3} and {1,2}, got %v", trans)
 	}
-	// Consequently Dual must fail the intersection check.
-	if _, err := Dual(s); err == nil {
-		t.Fatal("Dual(Grid(2)) unexpectedly intersecting")
+	// Consequently the transversal family is no quorum system.
+	if _, err := NewSystem("grid-2x2-dual", s.Universe(), trans); err == nil {
+		t.Fatal("transversals of Grid(2) unexpectedly intersecting")
 	}
 }
 
@@ -89,15 +89,13 @@ func TestTransversalsMeetAllQuorums(t *testing.T) {
 }
 
 // TestSelfDualSystems: odd majorities and the Fano plane are self-dual
-// (and hence non-dominated).
+// (their minimal transversals are their minimal quorums) and hence
+// non-dominated.
 func TestSelfDualSystems(t *testing.T) {
 	for _, s := range []*System{Majority(3, 2), Majority(5, 3), FPP(2)} {
-		d, err := Dual(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalQuorumLists(MinimalQuorums(s), MinimalQuorums(d)) {
-			t.Fatalf("%s is not self-dual: dual has %d quorums vs %d", s.Name(), d.NumQuorums(), s.NumQuorums())
+		min, trans := MinimalQuorums(s), Transversals(s)
+		if !equalQuorumLists(min, trans) {
+			t.Fatalf("%s is not self-dual: %d transversals vs %d minimal quorums", s.Name(), len(trans), len(min))
 		}
 	}
 }
@@ -139,7 +137,7 @@ func TestIsNonDominated(t *testing.T) {
 // TestDoubleTransversalInvolution: Tr(Tr(H)) = H for every antichain — a
 // classical hypergraph identity that exercises the enumerator from both
 // sides. The middle family may not be intersecting, so work with raw
-// transversal lists rather than Dual.
+// transversal lists.
 func TestDoubleTransversalInvolution(t *testing.T) {
 	for _, s := range []*System{Majority(4, 3), Grid(2), Star(4), Wheel(5), Majority(5, 3), Tree(2)} {
 		min := MinimalQuorums(s)

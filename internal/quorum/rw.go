@@ -89,9 +89,6 @@ func insertionSortInts(v []int) {
 	}
 }
 
-// Name returns the system name.
-func (rw *RWSystem) Name() string { return rw.name }
-
 // Universe returns the number of logical elements.
 func (rw *RWSystem) Universe() int { return rw.universe }
 
@@ -128,6 +125,26 @@ func GiffordVoting(n, r, w int) *RWSystem {
 		panic(err)
 	}
 	return rw
+}
+
+// combinations enumerates all size-k subsets of {0..n-1}.
+func combinations(n, k int) [][]int {
+	var out [][]int
+	cur := make([]int, 0, k)
+	var rec func(start int)
+	rec = func(start int) {
+		if len(cur) == k {
+			out = append(out, append([]int(nil), cur...))
+			return
+		}
+		for v := start; v <= n-(k-len(cur)); v++ {
+			cur = append(cur, v)
+			rec(v + 1)
+			cur = cur[:len(cur)-1]
+		}
+	}
+	rec(0)
+	return out
 }
 
 // Combine flattens the read/write system into an ordinary quorum system and

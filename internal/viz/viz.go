@@ -6,7 +6,6 @@ package viz
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -91,32 +90,6 @@ func CDF(series []CDFSeries) string {
 			fmt.Fprintf(&sb, "  %8.4g", sorted[idx])
 		}
 		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// Sparkline renders values as a single-line trend using block characters.
-func Sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	blocks := []rune("▁▂▃▄▅▆▇█")
-	min, max := values[0], values[0]
-	for _, v := range values {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	var sb strings.Builder
-	for _, v := range values {
-		idx := 0
-		if max > min {
-			idx = int(math.Round((v - min) / (max - min) * float64(len(blocks)-1)))
-		}
-		sb.WriteRune(blocks[idx])
 	}
 	return sb.String()
 }

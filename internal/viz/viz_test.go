@@ -55,21 +55,3 @@ func TestCDF(t *testing.T) {
 		t.Fatalf("nil series: %q", out)
 	}
 }
-
-func TestSparkline(t *testing.T) {
-	if got := Sparkline(nil); got != "" {
-		t.Fatalf("empty sparkline %q", got)
-	}
-	got := Sparkline([]float64{0, 1, 2, 3})
-	if len([]rune(got)) != 4 {
-		t.Fatalf("length %d, want 4 (%q)", len([]rune(got)), got)
-	}
-	runes := []rune(got)
-	if runes[0] != '▁' || runes[3] != '█' {
-		t.Fatalf("endpoints wrong: %q", got)
-	}
-	flat := Sparkline([]float64{2, 2})
-	if flat != "▁▁" {
-		t.Fatalf("flat sparkline %q", flat)
-	}
-}

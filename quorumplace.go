@@ -45,7 +45,6 @@ import (
 	"quorumplace/internal/placement"
 	"quorumplace/internal/quorum"
 	"quorumplace/internal/recommend"
-	"quorumplace/internal/sched"
 	"quorumplace/internal/treedp"
 )
 
@@ -67,17 +66,12 @@ func NewMetricFromGraph(g *Graph) (*Metric, error) { return graph.NewMetricFromG
 func NewMetricFromMatrix(d [][]float64) (*Metric, error) { return graph.NewMetricFromMatrix(d) }
 
 // BuildMetric is the scale-aware metric constructor: it computes the dense
-// all-pairs metric with the parallel builder when the graph fits the dense
-// budget (DefaultDenseLimit nodes unless overridden with WithDenseLimit),
-// and refuses with ErrMetricTooLarge — naming the sparse alternatives —
-// rather than silently attempting an n² build. Prefer it over
-// NewMetricFromGraph anywhere the input size is not fixed by construction.
-func BuildMetric(g *Graph, opts ...BuildOption) (*Metric, error) {
-	return graph.BuildMetric(g, opts...)
-}
-
-// BuildOption configures BuildMetric; see WithDenseLimit.
-type BuildOption = graph.BuildOption
+// all-pairs metric with the parallel builder when the graph has at most
+// DefaultDenseLimit nodes, and refuses with ErrMetricTooLarge — naming the
+// sparse alternatives — rather than silently attempting an n² build. Prefer
+// it over NewMetricFromGraph anywhere the input size is not fixed by
+// construction.
+func BuildMetric(g *Graph) (*Metric, error) { return graph.BuildMetric(g) }
 
 // LandmarkMetric is the sparse landmark (beacon) distance oracle: k Dijkstra
 // rows instead of n², with certified upper/lower bounds per pair.
@@ -85,13 +79,12 @@ type LandmarkMetric = graph.LandmarkMetric
 
 // Sparse-metric constructors and limits (see internal/graph for semantics).
 var (
-	WithDenseLimit    = graph.WithDenseLimit
 	ErrMetricTooLarge = graph.ErrMetricTooLarge
 	NewLandmarkMetric = graph.NewLandmarkMetric
 )
 
 // DefaultDenseLimit is the node count above which BuildMetric refuses a
-// dense build unless overridden.
+// dense build.
 const DefaultDenseLimit = graph.DefaultDenseLimit
 
 // Topology generators. Random generators take a *rand.Rand for
@@ -225,17 +218,15 @@ func SolveQPPTree(g *Graph, caps []float64, sys *System, strat Strategy, rates [
 // source. See internal/agg: the objective is linear in client weight, so
 // arbitrarily large client populations collapse losslessly into one weight
 // per node, and with integer weights the collapse is bitwise deterministic
-// under any sharding.
+// under any arrival order.
 type (
-	Demand        = agg.Demand
-	Client        = agg.Client
-	ShardedDemand = agg.Sharded
+	Demand = agg.Demand
+	Client = agg.Client
 )
 
 // Demand constructors and the per-client reference evaluator.
 var (
 	NewDemand            = agg.NewDemand
-	NewShardedDemand     = agg.NewSharded
 	PerClientAvgMaxDelay = agg.PerClientAvgMaxDelay
 )
 
@@ -345,15 +336,14 @@ type ChromeTrace = obs.ChromeTrace
 
 // --- availability & resilience -------------------------------------------------
 
-// Quorum-system quality measures (element-level, Naor–Wool): exact and
-// sampled failure probability, resilience, and the load lower bound.
+// Quorum-system quality measures (element-level, Naor–Wool): exact failure
+// probability, resilience, and the load lower bound.
 var (
-	FailureProbability         = quorum.FailureProbability
-	EstimateFailureProbability = quorum.EstimateFailureProbability
-	Resilience                 = quorum.Resilience
-	MinQuorumSize              = quorum.MinQuorumSize
-	LoadLowerBound             = quorum.LoadLowerBound
-	RecursiveMajority          = quorum.RecursiveMajority
+	FailureProbability = quorum.FailureProbability
+	Resilience         = quorum.Resilience
+	MinQuorumSize      = quorum.MinQuorumSize
+	LoadLowerBound     = quorum.LoadLowerBound
+	RecursiveMajority  = quorum.RecursiveMajority
 )
 
 // --- local search & ablations ---------------------------------------------------
@@ -479,11 +469,6 @@ func OptimizeStrategyForPlacement(ins *Instance, p Placement) (Strategy, float64
 	return placement.OptimizeStrategyForPlacement(ins, p)
 }
 
-// CoordinateDescent alternates placement and strategy optimization.
-func CoordinateDescent(ins *Instance, alpha float64, rounds int) (Placement, Strategy, []float64, error) {
-	return placement.CoordinateDescent(ins, alpha, rounds)
-}
-
 // MigrationPlan is the outcome of PlanMigration.
 type MigrationPlan = migrate.Plan
 
@@ -566,17 +551,13 @@ func SolveQPPParallel(ins *Instance, alpha float64, workers int) (*QPPResult, er
 	return placement.SolveQPPParallel(ins, alpha, workers)
 }
 
-// --- Byzantine and read/write quorum systems ----------------------------------------
+// --- read/write quorum systems ----------------------------------------------------
 
 // RWSystem is a read/write (bicoterie) quorum system; see GiffordVoting.
 type RWSystem = quorum.RWSystem
 
-// Byzantine masking and read/write constructions.
-var (
-	MaskingMajority = quorum.MaskingMajority
-	MaskingGrid     = quorum.MaskingGrid
-	GiffordVoting   = quorum.GiffordVoting
-)
+// GiffordVoting builds the read/write threshold system on n elements.
+var GiffordVoting = quorum.GiffordVoting
 
 // NewRWSystem validates and builds a read/write quorum system.
 func NewRWSystem(name string, universe int, reads, writes [][]int) (*RWSystem, error) {
@@ -586,11 +567,11 @@ func NewRWSystem(name string, universe int, reads, writes [][]int) (*RWSystem, e
 // --- coterie theory ------------------------------------------------------------------
 
 // Coterie-theoretic tools (Garcia-Molina–Barbara / Ibaraki–Kameda): minimal
-// quorums, minimal transversals, duals, and non-domination.
+// quorums, minimal transversals (the quorums of the dual), and
+// non-domination.
 var (
 	MinimalQuorums = quorum.MinimalQuorums
 	Transversals   = quorum.Transversals
-	DualSystem     = quorum.Dual
 	IsNonDominated = quorum.IsNonDominated
 )
 
@@ -611,27 +592,12 @@ var (
 	ReadSpec  = placement.ReadSpec
 )
 
-// --- probabilistic quorum systems ------------------------------------------------------
-
-// Probabilistic (ε-intersecting) quorum systems, after Malkhi–Reiter–Wool.
-var (
-	ProbabilisticQuorums    = quorum.ProbabilisticQuorums
-	IntersectionFailureRate = quorum.IntersectionFailureRate
-	TheoreticalMissBound    = quorum.TheoreticalMissBound
-	ProbabilisticAsSystem   = quorum.AsSystem
-)
-
 // OptimizePerClientStrategies computes per-client access strategies (the §6
 // extension) minimizing the average max-delay of a fixed placement subject
 // to the averaged-strategy load model.
 func OptimizePerClientStrategies(ins *Instance, p Placement) ([]Strategy, float64, error) {
 	return placement.OptimizePerClientStrategies(ins, p)
 }
-
-// Scheduling heuristics exported for the hardness-reduction tooling.
-var (
-	SchedSmithList = sched.SmithList
-)
 
 // AuditReport is the one-call placement health report (see Instance.Audit).
 type AuditReport = placement.AuditReport

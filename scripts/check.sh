@@ -20,6 +20,12 @@ fi
 echo "== go test"
 go test ./...
 
+echo "== perfbench module (vet, test)"
+# perfbench is a module of its own, so the ./... patterns above never
+# compile it: a library name only the benchmark uses could vanish and
+# break its build unnoticed.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== fuzz smoke (invariant auditor, bounded)"
 # Each target explores seeds beyond the deterministic sweep for a bounded
 # time (FUZZTIME to override). The corpora under internal/check/testdata/fuzz
