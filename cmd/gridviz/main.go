@@ -34,7 +34,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys := qp.Grid(*k)
+	sys, err := qp.ParseSystem(fmt.Sprintf("grid:%d", *k))
+	if err != nil {
+		log.Fatal(err)
+	}
 	load := float64(2**k-1) / float64(*k**k)
 	caps := make([]float64, *nodes)
 	for i := range caps {

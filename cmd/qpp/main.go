@@ -16,7 +16,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"strconv"
 	"strings"
 
 	qp "quorumplace"
@@ -38,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		graphKind   = fs.String("graph", "geometric", "topology: geometric|path|cycle|tree|erdos|hypercube|cliques")
 		graphFile   = fs.String("graphfile", "", "read the topology from an edge-list file instead of generating one")
 		nodes       = fs.Int("nodes", 16, "number of network nodes")
-		system      = fs.String("system", "grid:2", "quorum system: grid:k | majority:n:t | fpp:q | star:n | wheel:n")
+		system      = fs.String("system", "grid:2", "quorum system: "+qp.SystemGrammar)
 		alpha       = fs.Float64("alpha", 2, "filtering parameter α > 1 (Theorem 3.7 knob)")
 		capFlag     = fs.Float64("cap", 0, "uniform node capacity; 0 = auto (just enough for a balanced placement)")
 		objective   = fs.String("objective", "max", "delay objective: max (Theorem 1.2) or total (Theorem 1.4)")
@@ -91,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sys, threshold, err := buildSystem(*system)
+	sys, err := qp.ParseSystem(*system)
 	if err != nil {
 		return err
 	}
@@ -100,17 +99,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	caps := make([]float64, *nodes)
 	capVal := *capFlag
 	if capVal <= 0 {
-		// Auto: total load spread evenly with 30% headroom.
-		tmp, err := qp.NewInstance(m, make([]float64, *nodes), sys, st)
-		if err != nil {
+		if capVal, err = qp.AutoCapacity(sys, st, *nodes); err != nil {
 			return err
-		}
-		capVal = tmp.TotalLoad() / float64(*nodes) * 1.3
-		// Never below the largest element load, or nothing fits anywhere.
-		for u := 0; u < sys.Universe(); u++ {
-			if l := tmp.Load(u); l > capVal {
-				capVal = l
-			}
 		}
 	}
 	for i := range caps {
@@ -183,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		pl = res.Placement
 		fmt.Fprintf(stdout, "grid layout (Thm 1.3): AvgΔ = %.4g via v0=%d, capacities respected exactly\n", avg, res.V0)
 	case *specArg && strings.HasPrefix(*system, "majority:"):
-		res, avg, err := qp.SolveMajorityQPP(ins, threshold)
+		res, avg, err := qp.SolveMajorityQPP(ins, qp.MinQuorumSize(sys))
 		if err != nil {
 			return err
 		}
@@ -268,66 +258,6 @@ func buildGraph(kind string, n int, rng *rand.Rand) (*qp.Graph, error) {
 		return qp.RingOfCliques(k, size, 5), nil
 	default:
 		return nil, fmt.Errorf("unknown graph kind %q", kind)
-	}
-}
-
-// buildSystem parses a system spec; for majority systems it also returns
-// the threshold (needed by the specialized solver).
-func buildSystem(spec string) (*qp.System, int, error) {
-	parts := strings.Split(spec, ":")
-	atoi := func(s string) (int, error) { return strconv.Atoi(s) }
-	switch parts[0] {
-	case "grid":
-		if len(parts) != 2 {
-			return nil, 0, fmt.Errorf("grid spec must be grid:k")
-		}
-		k, err := atoi(parts[1])
-		if err != nil {
-			return nil, 0, err
-		}
-		return qp.Grid(k), 0, nil
-	case "majority":
-		if len(parts) != 3 {
-			return nil, 0, fmt.Errorf("majority spec must be majority:n:t")
-		}
-		n, err := atoi(parts[1])
-		if err != nil {
-			return nil, 0, err
-		}
-		t, err := atoi(parts[2])
-		if err != nil {
-			return nil, 0, err
-		}
-		return qp.Majority(n, t), t, nil
-	case "fpp":
-		if len(parts) != 2 {
-			return nil, 0, fmt.Errorf("fpp spec must be fpp:q")
-		}
-		q, err := atoi(parts[1])
-		if err != nil {
-			return nil, 0, err
-		}
-		return qp.FPP(q), 0, nil
-	case "star":
-		if len(parts) != 2 {
-			return nil, 0, fmt.Errorf("star spec must be star:n")
-		}
-		n, err := atoi(parts[1])
-		if err != nil {
-			return nil, 0, err
-		}
-		return qp.StarSystem(n), 0, nil
-	case "wheel":
-		if len(parts) != 2 {
-			return nil, 0, fmt.Errorf("wheel spec must be wheel:n")
-		}
-		n, err := atoi(parts[1])
-		if err != nil {
-			return nil, 0, err
-		}
-		return qp.Wheel(n), 0, nil
-	default:
-		return nil, 0, fmt.Errorf("unknown system %q", spec)
 	}
 }
 

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	qp "quorumplace"
 )
 
 func TestBuildGraph(t *testing.T) {
@@ -34,6 +36,8 @@ func TestBuildGraph(t *testing.T) {
 	}
 }
 
+// TestBuildSystem checks the -system specs qpp builds its system from, and
+// the Majority threshold the -specialized layout reads back off the system.
 func TestBuildSystem(t *testing.T) {
 	cases := []struct {
 		spec     string
@@ -53,7 +57,7 @@ func TestBuildSystem(t *testing.T) {
 		{"unknown:1", 0, true},
 	}
 	for _, tc := range cases {
-		sys, th, err := buildSystem(tc.spec)
+		sys, err := qp.ParseSystem(tc.spec)
 		if tc.wantErr {
 			if err == nil {
 				t.Errorf("%s: accepted", tc.spec)
@@ -67,7 +71,7 @@ func TestBuildSystem(t *testing.T) {
 		if sys.Universe() != tc.universe {
 			t.Errorf("%s: universe %d, want %d", tc.spec, sys.Universe(), tc.universe)
 		}
-		if tc.spec == "majority:5:3" && th != 3 {
+		if th := qp.MinQuorumSize(sys); tc.spec == "majority:5:3" && th != 3 {
 			t.Errorf("majority threshold %d, want 3", th)
 		}
 	}
@@ -93,13 +97,29 @@ func TestRunBasic(t *testing.T) {
 	}
 }
 
+// TestRunSpecialized runs the §4 layouts; the Majority layout reads its
+// threshold from the parsed system.
+func TestRunSpecialized(t *testing.T) {
+	for spec, want := range map[string]string{"grid:2": "grid layout (Thm 1.3)", "majority:5:3": "majority layout (Thm 1.3)"} {
+		var out, errOut bytes.Buffer
+		if err := run([]string{"-graph", "path", "-nodes", "8", "-system", spec, "-specialized", "-audit=false"}, &out, &errOut); err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("%s: output missing %q:\n%s", spec, want, out.String())
+		}
+	}
+}
+
 func TestRunBadFlags(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-graph", "bogus"}, &buf, &buf); err == nil {
 		t.Fatal("unknown graph kind accepted")
 	}
-	if err := run([]string{"-system", "nope:1"}, &buf, &buf); err == nil {
-		t.Fatal("unknown system accepted")
+	for _, spec := range []string{"nope:1", "grid:0", "fpp:6"} {
+		if err := run([]string{"-system", spec}, &buf, &buf); err == nil {
+			t.Fatalf("-system %s accepted", spec)
+		}
 	}
 	if err := run([]string{"-badflag"}, &buf, &buf); err == nil {
 		t.Fatal("undefined flag accepted")

@@ -4,7 +4,8 @@
 // quantiles and span rollups with unicode sparkline trends, refreshed in
 // place. It can also validate the Prometheus exposition of a live endpoint
 // (-validate, the CI smoke test) or render a one-shot dashboard from a
-// JSONL telemetry trace written with -trace (-tail).
+// JSONL telemetry trace written with -trace (-tail), with spans rolled up
+// by path as the live endpoint does.
 //
 // When the endpoint publishes workload-heat gauges (heat.*, see
 // internal/heat), a dedicated drift panel shows the drift score with its
@@ -23,7 +24,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -64,10 +64,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *tail != "" {
-		p, err := payloadFromJSONL(*tail)
+		f, err := os.Open(*tail)
 		if err != nil {
 			return err
 		}
+		snap, err := obs.ReadJSONL(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("%s: %w", *tail, err)
+		}
+		p := export.BuildPayload(snap)
 		if *jsonOut {
 			return writeJSON(stdout, p)
 		}
@@ -148,70 +154,6 @@ func fetchPayload(base string) (*export.Payload, error) {
 		return nil, fmt.Errorf("decode /metrics.json: %w", err)
 	}
 	return &p, nil
-}
-
-// payloadFromJSONL folds the counter/gauge/hist/span lines of a
-// Snapshot.WriteJSONL trace into the same payload shape the endpoint
-// serves, so the dashboard renders offline traces identically.
-func payloadFromJSONL(path string) (*export.Payload, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	p := &export.Payload{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]float64),
-		Histograms: make(map[string]obs.HistStats),
-		Spans:      make(map[string]export.SpanRollup),
-	}
-	type traceLine struct {
-		Type  string         `json:"type"`
-		Name  string         `json:"name"`
-		DurUS int64          `json:"dur_us"`
-		Value *float64       `json:"value"`
-		Hist  *obs.HistStats `json:"hist"`
-	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var tl traceLine
-		if err := json.Unmarshal([]byte(line), &tl); err != nil {
-			return nil, fmt.Errorf("%s:%d: %w", path, lineNo, err)
-		}
-		switch tl.Type {
-		case "counter":
-			if tl.Value != nil {
-				p.Counters[tl.Name] += int64(*tl.Value)
-			}
-		case "gauge":
-			if tl.Value != nil {
-				p.Gauges[tl.Name] = *tl.Value
-			}
-		case "hist":
-			if tl.Hist != nil {
-				p.Histograms[tl.Name] = *tl.Hist
-			}
-		case "span":
-			// Offline traces carry flat spans; roll them up by name (the
-			// full parent path is not reconstructed here).
-			r := p.Spans[tl.Name]
-			r.Count++
-			sec := float64(tl.DurUS) / 1e6
-			r.TotalSeconds += sec
-			if sec > r.MaxSeconds {
-				r.MaxSeconds = sec
-			}
-			p.Spans[tl.Name] = r
-		}
-	}
-	return p, sc.Err()
 }
 
 // monState keeps bounded per-series history across polls so each frame can

@@ -108,7 +108,8 @@ func TestTailJSONL(t *testing.T) {
 		t.Fatalf("tail: %v", err)
 	}
 	text := out.String()
-	for _, want := range []string{"lp.pivots", "321", "placement.qpp_workers", "lp.pivots_per_solve", "ssqpp.lp", "placement.qpp"} {
+	// Spans roll up by path, as on the live endpoint.
+	for _, want := range []string{"lp.pivots", "321", "placement.qpp_workers", "lp.pivots_per_solve", "placement.qpp/ssqpp.lp"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("tail dashboard missing %q\n%s", want, text)
 		}

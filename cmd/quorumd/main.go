@@ -9,7 +9,10 @@
 // hot set, then runs one daemon tick. The per-tick log (drift TV, alert
 // state, re-planned shard, warm/cold, moves, predicted delay) goes to
 // stdout; with -addr the daemon's HTTP control+status API (plus /metrics)
-// is served while the loop runs, and -hold keeps it up afterwards. Runs
+// is served while the loop runs, and -hold keeps it up afterwards.
+// /metrics exposes the process telemetry collector, installed while the
+// server runs. That collector keeps every span it records, so its memory
+// and the cost of a scrape grow with the ticks served. Runs
 // are seeded (-seed) and the tick log carries no wall-clock state, so two
 // runs with the same flags produce identical stdout.
 //
@@ -123,7 +126,10 @@ type serverConfig struct {
 }
 
 func runServer(c serverConfig, stdout, stderr io.Writer) error {
-	sys := qp.Grid(c.gridK)
+	sys, err := qp.ParseSystem(fmt.Sprintf("grid:%d", c.gridK))
+	if err != nil {
+		return err
+	}
 	if c.nodes < sys.Universe() {
 		return fmt.Errorf("%d nodes cannot host a %s system (universe %d)", c.nodes, sys.Name(), sys.Universe())
 	}
@@ -158,6 +164,8 @@ func runServer(c serverConfig, stdout, stderr io.Writer) error {
 	}
 
 	if c.addr != "" {
+		qp.EnableTelemetry()
+		defer qp.DisableTelemetry()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		srv, err := d.Serve(ctx, c.addr)

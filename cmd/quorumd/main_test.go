@@ -3,9 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"math/rand"
+	"net/http"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	qp "quorumplace"
 )
@@ -38,21 +43,69 @@ func TestServerDeterministic(t *testing.T) {
 	}
 }
 
-// TestServerWithAddr binds the control API during the tick loop and checks
-// the bound address is announced on stderr, not stdout.
+// TestServerWithAddr binds the control API during the tick loop, checks
+// the bound address is announced on stderr, not stdout, and scrapes the
+// daemon's counters from /metrics during -hold.
 func TestServerWithAddr(t *testing.T) {
-	out, errOut, err := runQuorumd(t,
-		"-nodes", "10", "-grid", "2", "-ticks", "2", "-accesses", "50",
-		"-addr", "127.0.0.1:0")
-	if err != nil {
+	var out, errOut syncBuffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-nodes", "10", "-grid", "2", "-ticks", "2", "-accesses", "50",
+			"-addr", "127.0.0.1:0", "-hold", "2s"}, &out, &errOut)
+	}()
+	announced := regexp.MustCompile(`serving control API on (http://127\.0\.0\.1:\d+)`)
+	var base string
+	for i := 0; i < 300 && base == ""; i++ {
+		if m := announced.FindStringSubmatch(errOut.String()); m != nil {
+			base = m[1]
+		} else {
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	if base == "" {
+		t.Fatalf("no address announcement on stderr:\n%s", errOut.String())
+	}
+	var body []byte
+	for i := 0; i < 100 && !bytes.Contains(body, []byte("qpp_daemon_ticks_total 2")); i++ {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /metrics: %s: %s", resp.Status, body)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if !bytes.Contains(body, []byte("qpp_daemon_ticks_total 2")) {
+		t.Fatalf("/metrics never counted both ticks:\n%s", body)
+	}
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(errOut, "serving control API on http://127.0.0.1:") {
-		t.Fatalf("no address announcement on stderr:\n%s", errOut)
+	if strings.Contains(out.String(), "127.0.0.1") {
+		t.Fatalf("bound address leaked into stdout:\n%s", out.String())
 	}
-	if strings.Contains(out, "127.0.0.1") {
-		t.Fatalf("bound address leaked into stdout:\n%s", out)
-	}
+}
+
+// syncBuffer is a mutex-guarded bytes.Buffer: the test reads stderr while
+// run writes it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
 }
 
 // TestClientFlow runs the client verbs against an in-process daemon.
@@ -134,6 +187,7 @@ func TestFlagValidation(t *testing.T) {
 		{"-ramp", "1.5"},                              // bad ramp
 		{"-accesses", "-1"},                           //
 		{"-nodes", "3", "-grid", "2"},                 // universe larger than network
+		{"-grid", "0"},                                // empty grid
 		{"positional"},                                // stray arg
 	}
 	for _, args := range cases {

@@ -63,7 +63,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	qp "quorumplace"
 	"quorumplace/internal/obs/export"
@@ -80,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("quorumstat", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	probs := fs.String("p", "0.05,0.1,0.2,0.3", "comma-separated element failure probabilities")
-	only := fs.String("system", "", "show a single system (grid:k | majority:n:t | fpp:q | wheel:n | recmajority:h | cwall:w1,w2,...)")
+	only := fs.String("system", "", "show a single system: "+qp.SystemGrammar)
 	simN := fs.Int("sim", 0, "simulate N accesses per client on a geometric network and print latency percentiles")
 	nodes := fs.Int("nodes", 16, "network size for -sim")
 	clients := fs.Int("clients", 0, "with -sim: synthesize this many weighted clients, aggregate them into per-node demand rates, and weight placement + simulation by them")
@@ -147,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	systems := defaultSystems()
 	if *only != "" {
-		s, err := parseSystem(*only)
+		s, err := qp.ParseSystem(*only)
 		if err != nil {
 			return err
 		}
@@ -185,21 +184,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		rec.EnableSLO(*sloWindow)
 	}
-	if *metricsAddr != "" {
-		qp.EnableTelemetry()
-		defer qp.DisableTelemetry()
-		srv, err := export.Serve(*metricsAddr, export.ActiveSource())
-		if err != nil {
-			return fmt.Errorf("metrics-addr: %w", err)
-		}
-		fmt.Fprintf(stderr, "quorumstat: serving metrics on %s (json at /metrics.json)\n", srv.URL())
-		defer func() {
-			if *metricsHold > 0 {
-				time.Sleep(*metricsHold)
-			}
-			srv.Close()
-		}()
+	finish, err := export.Instrumentation{MetricsAddr: *metricsAddr, MetricsHold: *metricsHold}.Start("quorumstat", stderr)
+	if err != nil {
+		return err
 	}
+	defer finish()
 
 	var heatReports []systemHeat
 	fmt.Fprintf(stdout, "%-18s  %5s  %7s  %6s  %9s  %9s  %10s  %3s", "system", "n", "quorums", "c(S)", "opt load", "load LB", "resilience", "ND")
@@ -349,17 +338,9 @@ func simulateSystem(sys *qp.System, nodes, accesses, clients, workers int, seed 
 		return nil, nil, err
 	}
 	st := qp.Uniform(sys.NumQuorums())
-	// Auto capacity: total load spread evenly with headroom, never below
-	// the largest element load (mirrors cmd/qpp's default).
-	tmp, err := qp.NewInstance(m, make([]float64, nodes), sys, st)
+	capVal, err := qp.AutoCapacity(sys, st, nodes)
 	if err != nil {
 		return nil, nil, err
-	}
-	capVal := tmp.TotalLoad() / float64(nodes) * 1.3
-	for u := 0; u < sys.Universe(); u++ {
-		if l := tmp.Load(u); l > capVal {
-			capVal = l
-		}
 	}
 	caps := make([]float64, nodes)
 	for i := range caps {
@@ -487,60 +468,4 @@ func parseProbs(s string) ([]float64, error) {
 		return nil, fmt.Errorf("no probabilities given")
 	}
 	return out, nil
-}
-
-func parseSystem(spec string) (*qp.System, error) {
-	parts := strings.Split(spec, ":")
-	atoi := strconv.Atoi
-	switch parts[0] {
-	case "grid":
-		k, err := atoi(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		return qp.Grid(k), nil
-	case "majority":
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("majority spec must be majority:n:t")
-		}
-		n, err := atoi(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		t, err := atoi(parts[2])
-		if err != nil {
-			return nil, err
-		}
-		return qp.Majority(n, t), nil
-	case "fpp":
-		q, err := atoi(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		return qp.FPP(q), nil
-	case "wheel":
-		n, err := atoi(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		return qp.Wheel(n), nil
-	case "recmajority":
-		h, err := atoi(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		return qp.RecursiveMajority(h), nil
-	case "cwall":
-		var widths []int
-		for _, w := range strings.Split(parts[1], ",") {
-			x, err := atoi(w)
-			if err != nil {
-				return nil, err
-			}
-			widths = append(widths, x)
-		}
-		return qp.CrumblingWalls(widths), nil
-	default:
-		return nil, fmt.Errorf("unknown system %q", spec)
-	}
 }

@@ -29,17 +29,18 @@ func TestParseProbs(t *testing.T) {
 	}
 }
 
+// TestParseSystem checks the -system specs quorumstat accepts and rejects.
 func TestParseSystem(t *testing.T) {
 	ok := []string{"grid:2", "majority:5:3", "fpp:2", "wheel:5", "recmajority:1", "cwall:2,2"}
 	for _, spec := range ok {
-		if _, err := parseSystem(spec); err != nil {
-			t.Errorf("parseSystem(%q) = %v", spec, err)
+		if _, err := qp.ParseSystem(spec); err != nil {
+			t.Errorf("ParseSystem(%q) = %v", spec, err)
 		}
 	}
 	bad := []string{"bogus:1", "grid:x", "majority:5", "cwall:x"}
 	for _, spec := range bad {
-		if _, err := parseSystem(spec); err == nil {
-			t.Errorf("parseSystem(%q) accepted", spec)
+		if _, err := qp.ParseSystem(spec); err == nil {
+			t.Errorf("ParseSystem(%q) accepted", spec)
 		}
 	}
 }
@@ -104,8 +105,10 @@ func TestRunBadArgs(t *testing.T) {
 	if err := run([]string{"-p", "nope"}, &buf, &buf); err == nil {
 		t.Fatal("bad probabilities accepted")
 	}
-	if err := run([]string{"-system", "bogus:1"}, &buf, &buf); err == nil {
-		t.Fatal("bad system accepted")
+	for _, spec := range []string{"bogus:1", "grid", "majority:5:2"} {
+		if err := run([]string{"-system", spec}, &buf, &buf); err == nil {
+			t.Fatalf("-system %s accepted", spec)
+		}
 	}
 	if err := run([]string{"-sim", "10", "-nodes", "1"}, &buf, &buf); err == nil {
 		t.Fatal("tiny -nodes accepted with -sim")

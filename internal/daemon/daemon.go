@@ -39,8 +39,11 @@ import (
 const (
 	DefaultShards         = 4
 	DefaultDriftThreshold = 0.1
-	DefaultMinLiveWeight  = 1.0
 )
+
+// MinLiveWeight is the EWMA mass floor below which drift is treated as
+// noise: an estimate of nothing must not trigger a re-plan.
+const MinLiveWeight = 1.0
 
 // maxTicks is how many tick records the log keeps; older ones are
 // overwritten.
@@ -67,10 +70,6 @@ type Config struct {
 	// DriftThreshold arms re-planning when the recent-drift TV reaches
 	// it; ≤ 0 means DefaultDriftThreshold.
 	DriftThreshold float64
-	// MinLiveWeight is the EWMA mass floor below which drift is treated
-	// as noise (an estimate of nothing must not trigger a re-plan);
-	// ≤ 0 means DefaultMinLiveWeight.
-	MinLiveWeight float64
 	// Heat configures the ingestion sketch.
 	Heat heat.Options
 	// AlwaysReplan re-solves one shard every tick regardless of drift —
@@ -160,9 +159,6 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	if cfg.DriftThreshold <= 0 {
 		cfg.DriftThreshold = DefaultDriftThreshold
-	}
-	if cfg.MinLiveWeight <= 0 {
-		cfg.MinLiveWeight = DefaultMinLiveWeight
 	}
 	shards := make([][]int, k)
 	for u := 0; u < nU; u++ {
@@ -331,7 +327,7 @@ func (d *Daemon) Tick() (TickRecord, error) {
 	rec.DriftTV, rec.LiveWeight = rep.TV, rep.LiveWeight
 
 	live := d.padRates(rates)
-	alerted := rep.TV >= d.cfg.DriftThreshold && rep.LiveWeight >= d.cfg.MinLiveWeight
+	alerted := rep.TV >= d.cfg.DriftThreshold && rep.LiveWeight >= MinLiveWeight
 	rec.Alerted = alerted
 	if alerted && d.cycleLeft == 0 {
 		// Rising edge: pin the live demand as the target every shard of

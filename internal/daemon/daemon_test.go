@@ -146,7 +146,7 @@ func TestDaemonAlertCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.TV < 0.2 || rep.LiveWeight < DefaultMinLiveWeight {
+	if rep.TV < 0.2 || rep.LiveWeight < MinLiveWeight {
 		t.Fatalf("fixture does not drift enough: TV=%v weight=%v", rep.TV, rep.LiveWeight)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"quorumplace/internal/exact"
 	"quorumplace/internal/graph"
 	"quorumplace/internal/netsim"
 	"quorumplace/internal/placement"
@@ -304,7 +305,7 @@ func (s *Suite) E10Extensions() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt, err := bruteForceWeighted(ins)
+		_, opt, err := exact.SolveQPP(ins)
 		if err != nil {
 			return nil, err
 		}
@@ -371,23 +372,6 @@ func bruteForcePerClient(ins *placement.Instance, per []quorum.Strategy) (float6
 	}
 	if math.IsInf(best, 1) {
 		return 0, fmt.Errorf("eval: no feasible placement for per-client brute force")
-	}
-	return best, nil
-}
-
-func bruteForceWeighted(ins *placement.Instance) (float64, error) {
-	best := math.Inf(1)
-	err := forEachFeasible(ins, func(p placement.Placement) error {
-		if obj := ins.AvgMaxDelay(p); obj < best {
-			best = obj
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	if math.IsInf(best, 1) {
-		return 0, fmt.Errorf("eval: no feasible placement for weighted brute force")
 	}
 	return best, nil
 }

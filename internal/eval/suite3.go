@@ -346,7 +346,7 @@ func (s *Suite) E16ReadWriteMix() (*Table, error) {
 		t.AddRow(F(frac), F(res.AvgDelay), F(crossDelay), F(penalty), F(ins.CapacityViolation(res.Placement)))
 	}
 	t.Notes = append(t.Notes,
-		"reads are C(5,2) small quorums, writes C(5,4) large ones; the heavier the read mix, the more a write-optimized placement overpays",
+		"reads are C(5,2) small quorums, writes C(5,4) large ones; a write-optimized placement's penalty never shrinks as the read share grows",
 		"both placements come from the Theorem 1.4 GAP solver, so loads stay within 2·cap")
 	return t, nil
 }

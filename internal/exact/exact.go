@@ -73,8 +73,8 @@ func SolveSSQPP(ins *placement.Instance, v0 int) (placement.Placement, float64, 
 	return placement.NewPlacement(f), val, nil
 }
 
-// SolveQPP finds a placement minimizing Avg_v Δ_f(v) subject to
-// load_f(v) ≤ cap(v), by branch and bound.
+// SolveQPP finds a placement minimizing Avg_v Δ_f(v), weighted by client
+// rates when set, subject to load_f(v) ≤ cap(v), by branch and bound.
 func SolveQPP(ins *placement.Instance) (placement.Placement, float64, error) {
 	if err := checkSize(ins); err != nil {
 		return placement.Placement{}, 0, err
@@ -85,10 +85,15 @@ func SolveQPP(ins *placement.Instance) (placement.Placement, float64, error) {
 		return ins.AvgMaxDelay(placement.NewPlacement(f))
 	}
 	lower := func(f []int, assigned int) float64 {
-		// Average over clients of the partial expected max.
+		// Average over clients of the partial expected max, weighted by
+		// client rates like the objective (w = 1 when Rates is nil).
 		n := ins.M.N()
-		sum := 0.0
+		sum, wsum := 0.0, 0.0
 		for v := 0; v < n; v++ {
+			w := 1.0
+			if ins.Rates != nil {
+				w = ins.Rates[v]
+			}
 			row := ins.M.Row(v)
 			dv := 0.0
 			for qi := 0; qi < ins.Sys.NumQuorums(); qi++ {
@@ -106,9 +111,10 @@ func SolveQPP(ins *placement.Instance) (placement.Placement, float64, error) {
 				}
 				dv += pq * max
 			}
-			sum += dv
+			sum += w * dv
+			wsum += w
 		}
-		return sum / float64(n)
+		return sum / wsum
 	}
 	f, val, err := branchAndBound(ins, obj, lower)
 	if err != nil {
@@ -117,9 +123,9 @@ func SolveQPP(ins *placement.Instance) (placement.Placement, float64, error) {
 	return placement.NewPlacement(f), val, nil
 }
 
-// SolveTotalDelay finds a placement minimizing Avg_v Γ_f(v) subject to
-// capacities. Γ decomposes per element, so the partial objective is an
-// exact prefix sum and pruning is tight.
+// SolveTotalDelay finds a placement minimizing Avg_v Γ_f(v), weighted by
+// client rates when set, subject to capacities. Γ decomposes per element,
+// so the partial objective is an exact prefix sum and pruning is tight.
 func SolveTotalDelay(ins *placement.Instance) (placement.Placement, float64, error) {
 	if err := checkSize(ins); err != nil {
 		return placement.Placement{}, 0, err
@@ -129,14 +135,9 @@ func SolveTotalDelay(ins *placement.Instance) (placement.Placement, float64, err
 	obj := func(f []int) float64 {
 		return ins.AvgTotalDelay(placement.NewPlacement(f))
 	}
-	n := ins.M.N()
-	avgDist := make([]float64, n)
-	for v := 0; v < n; v++ {
-		sum := 0.0
-		for v2 := 0; v2 < n; v2++ {
-			sum += ins.M.D(v2, v)
-		}
-		avgDist[v] = sum / float64(n)
+	avgDist := make([]float64, ins.M.N())
+	for v := range avgDist {
+		avgDist[v] = ins.AvgDistToNode(v)
 	}
 	lower := func(f []int, assigned int) float64 {
 		sum := 0.0
@@ -144,9 +145,6 @@ func SolveTotalDelay(ins *placement.Instance) (placement.Placement, float64, err
 			sum += ins.Load(u) * avgDist[f[u]]
 		}
 		return sum
-	}
-	if ins.Rates != nil {
-		return placement.Placement{}, 0, fmt.Errorf("exact: total-delay solver supports uniform rates only")
 	}
 	f, val, err := branchAndBound(ins, obj, lower)
 	if err != nil {

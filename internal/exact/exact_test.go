@@ -38,8 +38,9 @@ func buildInstance(t *testing.T, rng *rand.Rand) *placement.Instance {
 	return ins
 }
 
-// naiveSSQPP enumerates every capacity-feasible placement without pruning.
-func naiveSSQPP(ins *placement.Instance, v0 int) float64 {
+// naive enumerates every capacity-feasible placement without pruning and
+// returns the least value of obj.
+func naive(ins *placement.Instance, obj func(placement.Placement) float64) float64 {
 	nU := ins.Sys.Universe()
 	n := ins.M.N()
 	best := math.Inf(1)
@@ -49,32 +50,7 @@ func naiveSSQPP(ins *placement.Instance, v0 int) float64 {
 		if u == nU {
 			p := placement.NewPlacement(f)
 			if ins.Feasible(p) {
-				if d := ins.MaxDelayFrom(v0, p); d < best {
-					best = d
-				}
-			}
-			return
-		}
-		for v := 0; v < n; v++ {
-			f[u] = v
-			rec(u + 1)
-		}
-	}
-	rec(0)
-	return best
-}
-
-func naiveQPP(ins *placement.Instance) float64 {
-	nU := ins.Sys.Universe()
-	n := ins.M.N()
-	best := math.Inf(1)
-	f := make([]int, nU)
-	var rec func(u int)
-	rec = func(u int) {
-		if u == nU {
-			p := placement.NewPlacement(f)
-			if ins.Feasible(p) {
-				if d := ins.AvgMaxDelay(p); d < best {
+				if d := obj(p); d < best {
 					best = d
 				}
 			}
@@ -104,7 +80,7 @@ func TestSolveSSQPPMatchesNaive(t *testing.T) {
 		if d := ins.MaxDelayFrom(v0, p); math.Abs(d-val) > 1e-9 {
 			t.Fatalf("trial %d: reported %v but placement has %v", trial, val, d)
 		}
-		want := naiveSSQPP(ins, v0)
+		want := naive(ins, func(p placement.Placement) float64 { return ins.MaxDelayFrom(v0, p) })
 		if math.Abs(val-want) > 1e-9 {
 			t.Fatalf("trial %d: B&B %v != naive %v", trial, val, want)
 		}
@@ -122,7 +98,7 @@ func TestSolveQPPMatchesNaive(t *testing.T) {
 		if !ins.Feasible(p) {
 			t.Fatalf("trial %d: infeasible placement", trial)
 		}
-		want := naiveQPP(ins)
+		want := naive(ins, ins.AvgMaxDelay)
 		if math.Abs(val-want) > 1e-9 {
 			t.Fatalf("trial %d: B&B %v != naive %v", trial, val, want)
 		}
@@ -142,29 +118,48 @@ func TestSolveTotalDelayDecomposes(t *testing.T) {
 		}
 		// For total delay the optimum assigns each element greedily by
 		// load·avgdist, subject to capacities — verify against naive.
-		nU := ins.Sys.Universe()
-		n := ins.M.N()
-		best := math.Inf(1)
-		f := make([]int, nU)
-		var rec func(u int)
-		rec = func(u int) {
-			if u == nU {
-				pp := placement.NewPlacement(f)
-				if ins.Feasible(pp) {
-					if d := ins.AvgTotalDelay(pp); d < best {
-						best = d
-					}
-				}
-				return
-			}
-			for v := 0; v < n; v++ {
-				f[u] = v
-				rec(u + 1)
-			}
-		}
-		rec(0)
-		if math.Abs(val-best) > 1e-9 {
+		if best := naive(ins, ins.AvgTotalDelay); math.Abs(val-best) > 1e-9 {
 			t.Fatalf("trial %d: B&B %v != naive %v", trial, val, best)
+		}
+	}
+}
+
+// TestWeightedMatchesNaive sets random client rates. The QPP bound must
+// weight clients as the objective does, or it can prune the optimum.
+// Every node can host every element, so the search has many placements
+// to prune.
+func TestWeightedMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	for trial := 0; trial < 20; trial++ {
+		planted := buildInstance(t, rng)
+		caps := make([]float64, planted.M.N())
+		for v := range caps {
+			caps[v] = planted.TotalLoad()
+		}
+		ins, err := placement.NewInstance(planted.M, caps, planted.Sys, planted.Strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rates := make([]float64, ins.M.N())
+		for v := range rates {
+			rates[v] = 0.1 + 3*rng.Float64()
+		}
+		if err := ins.SetRates(rates); err != nil {
+			t.Fatal(err)
+		}
+		_, val, err := SolveQPP(ins)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if want := naive(ins, ins.AvgMaxDelay); math.Abs(val-want) > 1e-9 {
+			t.Fatalf("trial %d: QPP B&B %v != naive %v", trial, val, want)
+		}
+		_, val, err = SolveTotalDelay(ins)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if want := naive(ins, ins.AvgTotalDelay); math.Abs(val-want) > 1e-9 {
+			t.Fatalf("trial %d: total-delay B&B %v != naive %v", trial, val, want)
 		}
 	}
 }

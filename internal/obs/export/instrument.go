@@ -13,7 +13,8 @@ import (
 
 // Instrumentation is what a command's profiling and telemetry flags
 // (-cpuprofile, -memprofile, -trace, -stats, -metrics-addr, -metrics-hold)
-// ask for; the zero value asks for nothing. qpp and qppeval share it.
+// ask for; the zero value asks for nothing. qpp, qppeval and quorumstat
+// share it.
 type Instrumentation struct {
 	CPUProfile  string        // write a CPU profile of the run to this file
 	MemProfile  string        // write a heap profile to this file at exit

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -170,6 +171,63 @@ func TestWriteJSONL(t *testing.T) {
 	}
 	if types["span"] != 2 || types["counter"] != 1 || types["gauge"] != 1 || types["hist"] != 1 {
 		t.Fatalf("line type counts = %v", types)
+	}
+}
+
+// TestReadJSONL round-trips a snapshot through WriteJSONL, then checks
+// how repeated metric lines fold and that malformed lines are errors.
+func TestReadJSONL(t *testing.T) {
+	c := NewCollector()
+	outer := c.Start("outer")
+	c.Start("inner").End()
+	outer.End()
+	c.Count("lp.pivots", 11)
+	c.Gauge("g", 2.5)
+	c.Observe("h", 1)
+	want := c.Snapshot()
+	var buf bytes.Buffer
+	if err := want.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Spans) != len(want.Spans) {
+		t.Fatalf("read %d spans, want %d", len(got.Spans), len(want.Spans))
+	}
+	for i, r := range want.Spans {
+		r.Start = r.Start.Truncate(time.Microsecond)
+		r.Dur = r.Dur.Truncate(time.Microsecond)
+		if got.Spans[i] != r {
+			t.Errorf("span %d = %+v, want %+v", i, got.Spans[i], r)
+		}
+	}
+	if p := got.SpanPaths(); p[0] != "outer/inner" || p[1] != "outer" {
+		t.Errorf("span paths %v", p)
+	}
+	if !reflect.DeepEqual(got.Counters, want.Counters) || !reflect.DeepEqual(got.Gauges, want.Gauges) ||
+		!reflect.DeepEqual(got.Histograms, want.Histograms) {
+		t.Errorf("metrics = %v %v %v, want %v %v %v",
+			got.Counters, got.Gauges, got.Histograms, want.Counters, want.Gauges, want.Histograms)
+	}
+
+	got, err = ReadJSONL(strings.NewReader(`{"type":"counter","name":"c","value":2}
+
+{"type":"counter","name":"c","value":3}
+{"type":"gauge","name":"g","value":1}
+{"type":"gauge","name":"g","value":4}
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Counters["c"] != 5 || got.Gauges["g"] != 4 {
+		t.Errorf("repeated lines folded to counter %d gauge %v, want 5 and 4", got.Counters["c"], got.Gauges["g"])
+	}
+	for _, bad := range []string{"not json\n", `{"type":"bogus"}` + "\n", `{"type":"counter","name":"c"}` + "\n"} {
+		if _, err := ReadJSONL(strings.NewReader(bad)); err == nil {
+			t.Errorf("ReadJSONL accepted %q", bad)
+		}
 	}
 }
 

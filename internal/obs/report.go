@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,8 +13,8 @@ import (
 )
 
 // This file renders collected telemetry: a streaming JSONL span sink, a
-// whole-snapshot JSONL dump (spans first, then metrics), and a
-// human-readable summary table for terminals.
+// whole-snapshot JSONL dump (spans first, then metrics) and its reader,
+// and a human-readable summary table for terminals.
 
 // traceLine is the JSONL wire format. Exactly one of the optional field
 // groups is populated per line, selected by Type: "span", "counter",
@@ -102,6 +104,51 @@ func (s *Snapshot) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// ReadJSONL decodes a JSONL trace written by WriteJSONL or a JSONLWriter
+// into a snapshot. Spans keep their ids and parents, so SpanPaths rebuilds
+// their paths; times are whole microseconds, as written. A counter on
+// several lines sums them, and for a gauge or histogram the last line
+// wins. The trace does not record the collector's age, so Duration is 0.
+func ReadJSONL(r io.Reader) (*Snapshot, error) {
+	s := &Snapshot{
+		Counters:   make(map[string]int64),
+		Gauges:     make(map[string]float64),
+		Histograms: make(map[string]HistStats),
+	}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64*1024), 1024*1024)
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		var tl traceLine
+		if err := json.Unmarshal(line, &tl); err != nil {
+			return nil, fmt.Errorf("obs: trace line %d: %w", lineNo, err)
+		}
+		switch {
+		case tl.Type == "span":
+			s.Spans = append(s.Spans, SpanRecord{
+				ID: tl.ID, Parent: tl.Parent, Name: tl.Name,
+				Start: time.Duration(tl.StartUS) * time.Microsecond,
+				Dur:   time.Duration(tl.DurUS) * time.Microsecond,
+			})
+		case tl.Type == "counter" && tl.Value != nil:
+			s.Counters[tl.Name] += int64(*tl.Value)
+		case tl.Type == "gauge" && tl.Value != nil:
+			s.Gauges[tl.Name] = *tl.Value
+		case tl.Type == "hist" && tl.Hist != nil:
+			s.Histograms[tl.Name] = *tl.Hist
+		default:
+			return nil, fmt.Errorf("obs: trace line %d: unknown or incomplete %q record", lineNo, tl.Type)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("obs: read trace: %w", err)
+	}
+	return s, nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

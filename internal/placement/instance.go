@@ -119,6 +119,28 @@ func (ins *Instance) TotalLoad() float64 {
 	return sum
 }
 
+// AutoCapacity is the uniform node capacity the commands default to when
+// none is given: the total load of sys under st spread evenly over n
+// nodes with 30% headroom, and never below the largest element load, or
+// that element fits nowhere.
+func AutoCapacity(sys *quorum.System, st quorum.Strategy, n int) (float64, error) {
+	loads, err := sys.Loads(st)
+	if err != nil {
+		return 0, fmt.Errorf("placement: %w", err)
+	}
+	total := 0.0
+	for _, l := range loads {
+		total += l
+	}
+	c := total / float64(n) * 1.3
+	for _, l := range loads {
+		if l > c {
+			c = l
+		}
+	}
+	return c, nil
+}
+
 // Placement is a map f : U → V from logical elements to network nodes.
 type Placement struct {
 	f []int

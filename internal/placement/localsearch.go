@@ -34,8 +34,6 @@ type LocalSearchConfig struct {
 	// only if the destination stays within MaxLoadFactor·cap. Use 1 for
 	// capacity-respecting searches, α+1 to preserve a Theorem 3.7 bound.
 	MaxLoadFactor float64
-	// MaxIterations caps the number of improving moves (0 = 10·|U|·|V|).
-	MaxIterations int
 }
 
 // ImproveLocalSearch hill-climbs from p using single-element relocations
@@ -79,10 +77,7 @@ func ImproveLocalSearch(ins *Instance, p Placement, cfg LocalSearchConfig) (Plac
 	// (e.g. a random placement checked against factor 1); allow the search
 	// to start there but never make any over-budget node worse.
 	cur := eval(f)
-	maxIter := cfg.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 10 * nU * n
-	}
+	maxIter := 10 * nU * n
 
 	sp := obs.Start("placement.localsearch")
 	defer sp.End()

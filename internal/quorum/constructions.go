@@ -16,9 +16,11 @@ import (
 // quorum Q_{ij} is the union of row i and column j, so there are k² quorums
 // of 2k-1 elements each (§4.1). Element (r,c) has index r*k + c; quorum
 // Q_{ij} has index i*k + j.
-func Grid(k int) *System {
+func Grid(k int) *System { return must(grid(k)) }
+
+func grid(k int) (*System, error) {
 	if k < 1 {
-		panic(fmt.Sprintf("quorum: grid needs k >= 1, got %d", k))
+		return nil, fmt.Errorf("quorum: grid needs k >= 1, got %d", k)
 	}
 	n := k * k
 	quorums := make([][]int, 0, n)
@@ -36,19 +38,21 @@ func Grid(k int) *System {
 			quorums = append(quorums, q)
 		}
 	}
-	return mustNewSystem(fmt.Sprintf("grid-%dx%d", k, k), n, quorums)
+	return NewSystem(fmt.Sprintf("grid-%dx%d", k, k), n, quorums)
 }
 
 // Majority returns the threshold quorum system of §4.2: all subsets of a
 // universe of size n with exactly t elements, for t ≥ ⌈(n+1)/2⌉ (so any two
 // quorums intersect). The classical Majority system [Gifford; Thomas] is
 // t = ⌊n/2⌋+1. The number of quorums is C(n,t); keep n small (≤ ~16).
-func Majority(n, t int) *System {
+func Majority(n, t int) *System { return must(majority(n, t)) }
+
+func majority(n, t int) (*System, error) {
 	if 2*t <= n {
-		panic(fmt.Sprintf("quorum: majority threshold t=%d does not guarantee intersection for n=%d (need 2t > n)", t, n))
+		return nil, fmt.Errorf("quorum: majority threshold t=%d does not guarantee intersection for n=%d (need 2t > n)", t, n)
 	}
 	if t > n {
-		panic(fmt.Sprintf("quorum: majority threshold t=%d exceeds universe %d", t, n))
+		return nil, fmt.Errorf("quorum: majority threshold t=%d exceeds universe %d", t, n)
 	}
 	var quorums [][]int
 	cur := make([]int, 0, t)
@@ -67,36 +71,40 @@ func Majority(n, t int) *System {
 		}
 	}
 	rec(0)
-	return mustNewSystem(fmt.Sprintf("majority-%d-of-%d", t, n), n, quorums)
+	return NewSystem(fmt.Sprintf("majority-%d-of-%d", t, n), n, quorums)
 }
 
 // Singleton returns the degenerate system with a single one-element quorum,
 // the structure of Lin's delay-optimal (but maximally loaded) solution that
 // §2 argues against. It is useful as a baseline and for edge-case tests.
 func Singleton() *System {
-	return mustNewSystem("singleton", 1, [][]int{{0}})
+	return must(NewSystem("singleton", 1, [][]int{{0}}))
 }
 
 // Star returns the "star" (centralized) system on n elements: element 0 is
 // in every quorum and each quorum is {0, i}. Its load is concentrated on
 // the center — the opposite extreme from Majority.
-func Star(n int) *System {
+func Star(n int) *System { return must(star(n)) }
+
+func star(n int) (*System, error) {
 	if n < 2 {
-		panic(fmt.Sprintf("quorum: star needs n >= 2, got %d", n))
+		return nil, fmt.Errorf("quorum: star needs n >= 2, got %d", n)
 	}
 	quorums := make([][]int, 0, n-1)
 	for i := 1; i < n; i++ {
 		quorums = append(quorums, []int{0, i})
 	}
-	return mustNewSystem(fmt.Sprintf("star-%d", n), n, quorums)
+	return NewSystem(fmt.Sprintf("star-%d", n), n, quorums)
 }
 
 // Wheel returns the wheel system [Marcus–Peleg style]: quorums are
 // {hub, spoke_i} for each spoke plus the set of all spokes. The hub is
 // element 0.
-func Wheel(n int) *System {
+func Wheel(n int) *System { return must(wheel(n)) }
+
+func wheel(n int) (*System, error) {
 	if n < 3 {
-		panic(fmt.Sprintf("quorum: wheel needs n >= 3, got %d", n))
+		return nil, fmt.Errorf("quorum: wheel needs n >= 3, got %d", n)
 	}
 	quorums := make([][]int, 0, n)
 	spokes := make([]int, 0, n-1)
@@ -105,7 +113,7 @@ func Wheel(n int) *System {
 		spokes = append(spokes, i)
 	}
 	quorums = append(quorums, spokes)
-	return mustNewSystem(fmt.Sprintf("wheel-%d", n), n, quorums)
+	return NewSystem(fmt.Sprintf("wheel-%d", n), n, quorums)
 }
 
 // FPP returns the finite-projective-plane quorum system of prime-power
@@ -119,10 +127,12 @@ func Wheel(n int) *System {
 //
 // Point indexing: affine point (x, y) is x*q + y; the ideal point of slope m
 // is q²+m; the vertical ideal point is q²+q.
-func FPP(q int) *System {
+func FPP(q int) *System { return must(fpp(q)) }
+
+func fpp(q int) (*System, error) {
 	f, err := newGF(q)
 	if err != nil {
-		panic(fmt.Sprintf("quorum: FPP order %d must be a prime power >= 2: %v", q, err))
+		return nil, fmt.Errorf("quorum: FPP order %d must be a prime power >= 2: %v", q, err)
 	}
 	n := q*q + q + 1
 	var quorums [][]int
@@ -153,7 +163,7 @@ func FPP(q int) *System {
 		inf = append(inf, q*q+m)
 	}
 	quorums = append(quorums, inf)
-	return mustNewSystem(fmt.Sprintf("fpp-%d", q), n, quorums)
+	return NewSystem(fmt.Sprintf("fpp-%d", q), n, quorums)
 }
 
 // CrumblingWalls returns the Peleg–Wool crumbling-walls system for the given
@@ -162,14 +172,16 @@ func FPP(q int) *System {
 // representative element from every row below i. Two quorums with full rows
 // i ≤ i' intersect because the first has a representative inside row i',
 // which the second contains entirely (or i = i' and they share the row).
-func CrumblingWalls(widths []int) *System {
+func CrumblingWalls(widths []int) *System { return must(crumblingWalls(widths)) }
+
+func crumblingWalls(widths []int) (*System, error) {
 	if len(widths) == 0 {
-		panic("quorum: crumbling walls needs at least one row")
+		return nil, fmt.Errorf("quorum: crumbling walls needs at least one row")
 	}
 	offsets := make([]int, len(widths)+1)
 	for i, w := range widths {
 		if w < 1 {
-			panic(fmt.Sprintf("quorum: crumbling walls row %d has width %d", i, w))
+			return nil, fmt.Errorf("quorum: crumbling walls row %d has width %d", i, w)
 		}
 		offsets[i+1] = offsets[i] + w
 	}
@@ -202,7 +214,7 @@ func CrumblingWalls(widths []int) *System {
 	for i := range widths {
 		rec(i, 0, nil)
 	}
-	return mustNewSystem(fmt.Sprintf("cwall-%v", widths), n, quorums)
+	return NewSystem(fmt.Sprintf("cwall-%v", widths), n, quorums)
 }
 
 // Tree returns the Agrawal–El Abbadi tree quorum system on a complete
@@ -226,7 +238,7 @@ func Tree(height int) *System {
 			quorums = append(quorums, q)
 		}
 	}
-	return mustNewSystem(fmt.Sprintf("tree-h%d", height), n, quorums)
+	return must(NewSystem(fmt.Sprintf("tree-h%d", height), n, quorums))
 }
 
 // treeQuorums enumerates the quorums of the subtree rooted at node root
@@ -304,7 +316,7 @@ func WeightedMajority(weights []int) *System {
 			quorums = append(quorums, q)
 		}
 	}
-	return mustNewSystem(fmt.Sprintf("wmaj-%v", weights), n, quorums)
+	return must(NewSystem(fmt.Sprintf("wmaj-%v", weights), n, quorums))
 }
 
 // isSubset reports whether sorted slice a ⊆ sorted slice b.

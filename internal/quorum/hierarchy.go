@@ -8,16 +8,18 @@ import "fmt"
 // height 1 this is Majority(3, 2); height 2 has 27 quorums of 4 elements on
 // 9 leaves. Two quorums intersect because at every level their chosen
 // 2-of-3 group sets overlap in at least one group, recursively.
-func RecursiveMajority(height int) *System {
+func RecursiveMajority(height int) *System { return must(recursiveMajority(height)) }
+
+func recursiveMajority(height int) (*System, error) {
 	if height < 1 {
-		panic(fmt.Sprintf("quorum: recursive majority needs height >= 1, got %d", height))
+		return nil, fmt.Errorf("quorum: recursive majority needs height >= 1, got %d", height)
 	}
 	n := 1
 	for i := 0; i < height; i++ {
 		n *= 3
 	}
 	quorums := recMajQuorums(0, n, height)
-	return mustNewSystem(fmt.Sprintf("recmajority-h%d", height), n, quorums)
+	return NewSystem(fmt.Sprintf("recmajority-h%d", height), n, quorums)
 }
 
 // recMajQuorums enumerates the recursive-majority quorums of the block of

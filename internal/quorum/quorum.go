@@ -65,12 +65,12 @@ func NewSystem(name string, universe int, quorums [][]int) (*System, error) {
 	return s, nil
 }
 
-// mustNewSystem is NewSystem for the package's own constructions, whose
-// outputs are intersecting by design.
-func mustNewSystem(name string, universe int, quorums [][]int) *System {
-	s, err := NewSystem(name, universe, quorums)
+// must is how the exported constructions report an argument that breaks
+// their precondition: a panic whose value is the error's message. Parse
+// calls the same builders and returns the error instead.
+func must(s *System, err error) *System {
 	if err != nil {
-		panic(err)
+		panic(err.Error())
 	}
 	return s
 }

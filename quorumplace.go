@@ -143,6 +143,13 @@ var (
 	WeightedMajority = quorum.WeightedMajority
 )
 
+// ParseSystem builds the quorum system a command-line spec such as grid:3
+// or majority:5:3 names, and returns an error for a malformed spec.
+func ParseSystem(spec string) (*System, error) { return quorum.Parse(spec) }
+
+// SystemGrammar is the spec grammar ParseSystem accepts.
+const SystemGrammar = quorum.Grammar
+
 // NewStrategy validates p as a probability distribution over quorums.
 func NewStrategy(p []float64) (Strategy, error) { return quorum.NewStrategy(p) }
 
@@ -173,6 +180,12 @@ type (
 // NewInstance validates the inputs and builds a placement instance.
 func NewInstance(m *Metric, cap []float64, sys *System, strat Strategy) (*Instance, error) {
 	return placement.NewInstance(m, cap, sys, strat)
+}
+
+// AutoCapacity is the uniform node capacity qpp and quorumstat default to:
+// total load / n × 1.3, and never below the largest element load.
+func AutoCapacity(sys *System, strat Strategy, n int) (float64, error) {
+	return placement.AutoCapacity(sys, strat, n)
 }
 
 // NewPlacement wraps an element→node map.

@@ -3,6 +3,12 @@
 # and nothing else. Run from the repository root: ./scripts/check.sh
 set -eu
 
+# Everything the checks build or write goes here, so overlapping runs on
+# one box do not overwrite each other.
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+trap 'exit 1' INT TERM
+
 echo "== go vet"
 go vet ./...
 
@@ -33,6 +39,8 @@ echo "== fuzz smoke (invariant auditor, bounded)"
 for target in FuzzSolveQPP FuzzSolveTotalDelay FuzzLPvsExact FuzzRunWithFailures FuzzTreeDPvsLP; do
     go test ./internal/check -run '^$' -fuzz "^${target}\$" -fuzztime "${FUZZTIME:-20s}"
 done
+# No quorum-system spec a command accepts may panic the parser.
+go test ./internal/quorum -run '^$' -fuzz '^FuzzParse$' -fuzztime "${FUZZTIME:-20s}"
 
 echo "== tree-DP scaling smoke (10^4-node exact solve with independent re-evaluation)"
 go test ./internal/treedp -run 'TestTreeDPLargeSmoke' -count=1 -short
@@ -41,14 +49,16 @@ echo "== go test -race -count=2 (tracing, telemetry, exposition, parallel solver
 go test -race -count=2 ./internal/obs ./internal/obs/export ./internal/placement ./internal/netsim ./internal/graph ./internal/treedp ./internal/agg ./internal/heat ./internal/daemon ./internal/eval
 
 echo "== metrics exposition smoke (qppeval -metrics-addr scraped by qppmon -validate)"
-MPORT="${MPORT:-9464}"
-go build -o /tmp/qppeval_smoke ./cmd/qppeval
-go build -o /tmp/qppmon_smoke ./cmd/qppmon
-/tmp/qppeval_smoke -quick -only E9 -metrics-addr "127.0.0.1:${MPORT}" -metrics-hold 20s >/dev/null 2>&1 &
+go build -o "$WORK/qppeval" ./cmd/qppeval
+go build -o "$WORK/qppmon" ./cmd/qppmon
+# Port 0 picks a free port; qppeval announces the bound URL on stderr.
+"$WORK/qppeval" -quick -only E9 -metrics-addr 127.0.0.1:0 -metrics-hold 20s >/dev/null 2>"$WORK/qppeval.err" &
 SMOKE_PID=$!
 smoke_ok=0
+url=
 for _ in $(seq 1 100); do
-    if /tmp/qppmon_smoke -addr "127.0.0.1:${MPORT}" -validate >/dev/null 2>&1; then
+    url=$(sed -n 's|.*serving metrics on \(http://[^/ ]*\)/metrics .*|\1|p' "$WORK/qppeval.err")
+    if [ -n "$url" ] && "$WORK/qppmon" -addr "$url" -validate >/dev/null 2>&1; then
         smoke_ok=1
         break
     fi
@@ -57,7 +67,7 @@ done
 kill "$SMOKE_PID" 2>/dev/null || true
 wait "$SMOKE_PID" 2>/dev/null || true
 if [ "$smoke_ok" != "1" ]; then
-    echo "metrics exposition smoke failed: no valid Prometheus scrape from 127.0.0.1:${MPORT}" >&2
+    echo "metrics exposition smoke failed: no valid Prometheus scrape from ${url:-an unannounced address}" >&2
     exit 1
 fi
 echo "exposition smoke passed"
@@ -67,14 +77,14 @@ echo "== experiment suite sweep (qppeval full mode, seeds 1-8)"
 # aborts on some seeds' draws (E10 once did at seed 4). Tables are
 # discarded; a failing seed's error reaches stderr.
 for seed in $(seq 1 8); do
-    if ! /tmp/qppeval_smoke -seed "$seed" >/dev/null; then
+    if ! "$WORK/qppeval" -seed "$seed" >/dev/null; then
         echo "qppeval -seed $seed exited nonzero" >&2
         exit 1
     fi
 done
 
 echo "== perf gate (fresh benchmark run vs the latest committed snapshot)"
-BENCHTIME=0.05s OUT=/tmp/bench_check.json ./scripts/bench.sh
+BENCHTIME=0.05s OUT="$WORK/bench.json" ./scripts/bench.sh
 # The baseline was recorded at this 0.05s benchtime with maxprocs equal to
 # the recording box's core count (2), so setup amortization and
 # GOMAXPROCS-sized worker pools match a fresh run on such a box. Bands:
@@ -105,6 +115,6 @@ go run ./cmd/benchdiff -allocs-threshold 0.5 \
     -metric 'p99_delay=0.02,p999_delay=0.02' \
     -speedup 'BenchmarkParallelQPP/workers=1:BenchmarkParallelQPP/workers=4:1.8:4,BenchmarkParallelNetsim/sim=run/workers=1:BenchmarkParallelNetsim/sim=run/workers=4:2.0:4,BenchmarkDaemonTick/mode=cold:BenchmarkDaemonTick/mode=warm:3.0,BenchmarkScalingClients/clients=10000:BenchmarkScalingClients/clients=1000000:0.5,BenchmarkDaemonUptime/epochs=10:BenchmarkDaemonUptime/epochs=100000:0.8,BenchmarkParallelNetsim/sim=run/workers=1:BenchmarkParallelNetsim/sim=failures/workers=1:0.5' \
     -max-time 'BenchmarkTreeDP/nodes=100000=10s,BenchmarkHeatObserve=1us,BenchmarkDriftScore=10ms' \
-    BENCH_2026-10-17.json /tmp/bench_check.json
+    BENCH_2026-10-17.json "$WORK/bench.json"
 
 echo "all checks passed"
