@@ -47,8 +47,8 @@ func benchInstance(b *testing.B, n int, sys *System) *Instance {
 
 // BenchmarkE1QPPApprox regenerates a row of E1 (Theorem 1.2): the full QPP
 // solver at α = 2 on a 7-node instance with a 2×2 Grid system. Telemetry is
-// enabled so the solver-internal work — simplex pivots and flow
-// augmentations — is reported alongside ns/op.
+// enabled so the solver-internal work — simplex pivots, elimination updates
+// and flow augmentations — is reported alongside ns/op.
 func BenchmarkE1QPPApprox(b *testing.B) {
 	ins := benchInstance(b, 7, Grid(2))
 	c := EnableTelemetry()
@@ -62,6 +62,7 @@ func BenchmarkE1QPPApprox(b *testing.B) {
 	b.StopTimer()
 	snap := c.Snapshot()
 	b.ReportMetric(float64(snap.Counter("lp.pivots"))/float64(b.N), "pivots/op")
+	b.ReportMetric(float64(snap.Counter("lp.elim_updates"))/float64(b.N), "elim/op")
 	b.ReportMetric(float64(snap.Counter("flow.augmentations"))/float64(b.N), "augments/op")
 }
 
@@ -115,7 +116,8 @@ func BenchmarkE3TotalDelay(b *testing.B) {
 }
 
 // BenchmarkE4SSQPP regenerates E4 (Theorem 3.7): one single-source LP
-// solve + filter + round, reporting the simplex pivot count per solve.
+// solve + filter + round, reporting the simplex pivot count and elimination
+// updates per solve.
 func BenchmarkE4SSQPP(b *testing.B) {
 	ins := benchInstance(b, 8, Grid(2))
 	c := EnableTelemetry()
@@ -129,6 +131,7 @@ func BenchmarkE4SSQPP(b *testing.B) {
 	b.StopTimer()
 	snap := c.Snapshot()
 	b.ReportMetric(float64(snap.Counter("lp.pivots"))/float64(b.N), "pivots/op")
+	b.ReportMetric(float64(snap.Counter("lp.elim_updates"))/float64(b.N), "elim/op")
 }
 
 // BenchmarkE5Relay regenerates E5 (Lemma 3.1): relay-factor measurement of
@@ -582,7 +585,10 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 // `benchdiff -speedup` in CI. Worker counts beyond GOMAXPROCS only
 // interleave, so compare sub-benchmarks under `-cpu N` pinning (or on a
 // machine) with at least as many cores as workers; scripts/bench.sh records
-// the run's GOMAXPROCS in the snapshot for exactly this reason.
+// the run's GOMAXPROCS in the snapshot for exactly this reason. Each
+// sub-benchmark also reports the simplex pivots and elimination updates of
+// one solve, run with telemetry on after the timed loop so ns/op stays
+// free of telemetry; both are exact counts, the same on every machine.
 func BenchmarkParallelQPP(b *testing.B) {
 	g := Broom(5)
 	n := g.N()
@@ -619,8 +625,59 @@ func BenchmarkParallelQPP(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			c := EnableTelemetry()
+			_, err := SolveQPPParallel(ins, 2, w)
+			DisableTelemetry()
+			if err != nil {
+				b.Fatal(err)
+			}
+			snap := c.Snapshot()
+			b.ReportMetric(float64(snap.Counter("lp.pivots")), "pivots/op")
+			b.ReportMetric(float64(snap.Counter("lp.elim_updates")), "elim/op")
 		})
 	}
+}
+
+// BenchmarkWANReplicaQPP runs the sequential Theorem 1.2 solver,
+// SolveQPP(ins, 2), on the instance examples/wanreplica builds: Grid(3)
+// over a 40-host random-geometric WAN (radius 0.3, seed 7) whose hosts
+// hold capacity 0, one element's load or two. Every source's LP is the
+// tallest this repository solves (about 2,500 rows). Telemetry is enabled,
+// as in E1, to report simplex pivots and elimination updates per op. One
+// iteration takes seconds, so scripts/bench.sh's pattern leaves it out;
+// run it with
+//
+//	go test -run '^$' -bench BenchmarkWANReplicaQPP -benchtime 1x .
+func BenchmarkWANReplicaQPP(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	const hosts = 40
+	m, err := BuildMetric(RandomGeometric(hosts, 0.3, rng))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys := Grid(3)
+	load := 5.0 / 9.0
+	caps := make([]float64, hosts)
+	for i := range caps {
+		caps[i] = float64(rng.Intn(3)) * load
+	}
+	ins, err := NewInstance(m, caps, sys, Uniform(sys.NumQuorums()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := EnableTelemetry()
+	defer DisableTelemetry()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SolveQPP(ins, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	snap := c.Snapshot()
+	b.ReportMetric(float64(snap.Counter("lp.pivots"))/float64(b.N), "pivots/op")
+	b.ReportMetric(float64(snap.Counter("lp.elim_updates"))/float64(b.N), "elim/op")
 }
 
 // BenchmarkParallelNetsim measures the sharded deterministic discrete-event

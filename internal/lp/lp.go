@@ -1,6 +1,15 @@
 // Package lp implements a general-purpose linear-programming solver: a
 // two-phase simplex method over a flat (single-allocation, row-major)
-// tableau with candidate-list Dantzig pricing and Bland's anti-cycling rule.
+// tableau with Bland's anti-cycling rule. The entering-column rule is
+// picked from the tableau's size: candidate-list Dantzig pricing below
+// 2^17 cells (m × stride; devexMinCells), Devex reference-weight pricing
+// (Harris, 1973) from there up. Devex prefers short tableau columns, so
+// its pivots touch fewer rows; that saves more elimination than its full
+// scan of the columns costs on the large SSQPP LPs, and less on small
+// ones, where a full scan is most of a pivot's work. Each solve reports
+// its work as telemetry counters: lp.pivots, lp.elim_updates (pivot-row
+// nonzeros × rows updated, summed over pivots) and lp.pricing_scans
+// (full-width pricing passes, which under Devex means every pivot).
 //
 // The quorum-placement algorithms need two LPs solved exactly enough to
 // carry the paper's guarantees: the Single-Source Quorum Placement LP
@@ -216,9 +225,22 @@ type Solution struct {
 const (
 	eps          = 1e-9
 	phase1Tol    = 1e-7
-	blandTrigger = 5000 // iterations of Dantzig pricing before switching to Bland
+	blandTrigger = 5000 // iterations of Dantzig or Devex pricing before switching to Bland
 	candListCap  = 24   // pricing candidate-list size (partial Dantzig)
 )
+
+// devexMinCells is the tableau size (m × stride cells) from which pricing
+// switches from the candidate-list Dantzig rule to Devex. Devex scans every
+// live column on every pivot, so it pays only where that scan is cheap next
+// to the elimination it saves: its reference weights steer the entering
+// column towards short tableau columns, which touch fewer rows. Anchors,
+// counted in lp.elim_updates: plan's SSQPP LPs (851 × 1,338 ≈ 1.14 M
+// cells), the broom's in BenchmarkParallelQPP (up to 339 × 678 ≈ 230 k)
+// and the 40-host wanreplica instance's run Devex and do 3.2–4.4× less
+// elimination; the daemon's GAP LPs (2,700 cells in perfbench),
+// E1QPPApprox's SSQPP LPs (at most 32,400) and E4SSQPP's (43,212) stay on
+// Dantzig, where Devex would double their elimination and slow them down.
+const devexMinCells = 1 << 17
 
 // rowKind is the per-row normalization record built before the tableau.
 type rowKind struct {
@@ -246,6 +268,7 @@ type Workspace struct {
 	kinds []rowKind
 	nz    []int
 	cand  []int
+	dw    []float64 // Devex reference weights, one per column
 	sx    simplex
 	used  bool
 	warm  warmState
@@ -331,11 +354,7 @@ func (p *Problem) SolveWith(ws *Workspace) (*Solution, error) {
 	}
 	sol, err := p.solveSimplex(ws)
 	s := &ws.sx
-	ws.Rec.Count("lp.pivots", s.pivots)
-	ws.Rec.Count("lp.degenerate_pivots", s.degens)
-	ws.Rec.Count("lp.bland_activations", s.blandActivations)
-	ws.Rec.Count("lp.pricing_scans", s.pricingScans)
-	ws.Rec.Observe("lp.pivots_per_solve", float64(s.pivots))
+	s.report(ws.Rec)
 	ws.Rec.Observe("lp.constraints_per_solve", float64(len(p.cons)))
 	ws.Rec.Observe("lp.vars_per_solve", float64(n))
 	return sol, err
@@ -411,6 +430,10 @@ func (p *Problem) solveSimplex(ws *Workspace) (*Solution, error) {
 		tab[i] = 0
 	}
 	ws.obj = growF(ws.obj, stride)
+	devex := m*stride >= devexMinCells
+	if devex {
+		ws.dw = growF(ws.dw, total)
+	}
 	ws.basis = growI(ws.basis, m)
 	basis := ws.basis
 
@@ -458,6 +481,8 @@ func (p *Problem) solveSimplex(ws *Workspace) (*Solution, error) {
 		fixed:  p.fixed,
 		nz:     ws.nz,
 		cand:   ws.cand,
+		devex:  devex,
+		dw:     ws.dw,
 	}
 	defer func() {
 		// Return possibly-regrown scratch buffers to the workspace.
@@ -632,15 +657,11 @@ func (p *Problem) SolveHot(ws *Workspace) (*Solution, bool, error) {
 	ws.Rec.Count("lp.solves", 1)
 	ws.Rec.Count("lp.hot_solves", 1)
 	s := &ws.sx
-	s.pivots, s.degens, s.blandActivations, s.pricingScans = 0, 0, 0, 0
+	s.pivots, s.degens, s.blandActivations, s.pricingScans, s.elimUpdates = 0, 0, 0, 0, 0
 	s.width = w.firstArt
 	s.setCostObjective(p.costs)
 	status := s.run()
-	ws.Rec.Count("lp.pivots", s.pivots)
-	ws.Rec.Count("lp.degenerate_pivots", s.degens)
-	ws.Rec.Count("lp.bland_activations", s.blandActivations)
-	ws.Rec.Count("lp.pricing_scans", s.pricingScans)
-	ws.Rec.Observe("lp.pivots_per_solve", float64(s.pivots))
+	s.report(ws.Rec)
 	if status == Unbounded {
 		w.valid = false
 		return &Solution{Status: Unbounded}, true, ErrUnbounded
@@ -727,12 +748,28 @@ type simplex struct {
 	nz   []int
 	cand []int
 
+	// devex selects Devex pricing (tableaus of at least devexMinCells
+	// cells); dw holds its reference weights, one per column below total.
+	devex bool
+	dw    []float64
+
 	// telemetry tallies, accumulated locally (no per-pivot obs calls) and
 	// reported once per Solve.
 	pivots           int64
 	degens           int64 // pivots with a ~zero leaving ratio (degenerate steps)
 	blandActivations int64
-	pricingScans     int64 // full-width pricing passes (candidate rebuilds + Bland scans)
+	pricingScans     int64 // full-width pricing passes (candidate rebuilds, Devex pivots, Bland scans)
+	elimUpdates      int64 // Σ over pivots of pivot-row nonzeros × other rows updated
+}
+
+// report records the solve's tallies on r.
+func (s *simplex) report(r obs.Rec) {
+	r.Count("lp.pivots", s.pivots)
+	r.Count("lp.degenerate_pivots", s.degens)
+	r.Count("lp.bland_activations", s.blandActivations)
+	r.Count("lp.pricing_scans", s.pricingScans)
+	r.Count("lp.elim_updates", s.elimUpdates)
+	r.Observe("lp.pivots_per_solve", float64(s.pivots))
 }
 
 func (s *simplex) isFixed(j int) bool { return j < len(s.fixed) && s.fixed[j] }
@@ -761,7 +798,8 @@ func (s *simplex) setCostObjective(costs []float64) {
 
 // priceOutBasis zeroes the reduced cost of every basic column. Tableau rows
 // form an identity over the basis columns, so the elimination order does
-// not matter. Any pricing candidates are invalidated.
+// not matter. Any pricing candidates are invalidated, and the Devex
+// reference framework restarts at the current basis (every weight 1).
 func (s *simplex) priceOutBasis() {
 	for i, b := range s.basis {
 		if c := s.obj[b]; c != 0 {
@@ -772,6 +810,11 @@ func (s *simplex) priceOutBasis() {
 		}
 	}
 	s.cand = s.cand[:0]
+	if s.devex {
+		for j := range s.dw {
+			s.dw[j] = 1
+		}
+	}
 }
 
 func (s *simplex) objValue() float64 { return -s.obj[s.total] }
@@ -800,11 +843,13 @@ func (s *simplex) run() Status {
 
 // chooseEntering picks the entering column. Under Bland's rule it returns
 // the lowest-index column with negative reduced cost (a full scan, which is
-// what guarantees termination). Otherwise it uses candidate-list Dantzig
-// pricing: the most negative column among the cached candidates, falling
-// back to a full rebuild scan only when every candidate has gone
-// non-negative. Optimality is only ever declared by a full scan, so partial
-// pricing never changes the result.
+// what guarantees termination). On tableaus of at least devexMinCells cells
+// it uses Devex pricing: the column with the largest d_j²/w_j over every
+// live column, w_j being its reference weight. Otherwise it uses
+// candidate-list Dantzig pricing: the most negative column among the cached
+// candidates, falling back to a full rebuild scan only when every candidate
+// has gone non-negative. Optimality is only ever declared by a full scan,
+// so partial pricing never changes the result.
 func (s *simplex) chooseEntering(bland bool) int {
 	if bland {
 		s.pricingScans++
@@ -814,6 +859,20 @@ func (s *simplex) chooseEntering(bland bool) int {
 			}
 		}
 		return -1
+	}
+	if s.devex {
+		s.pricingScans++
+		best, bestScore := -1, 0.0
+		for j := 0; j < s.width; j++ {
+			d := s.obj[j]
+			if d >= -eps || s.isFixed(j) {
+				continue
+			}
+			if score := d * d / s.dw[j]; score > bestScore {
+				best, bestScore = j, score
+			}
+		}
+		return best
 	}
 	best, bestVal := -1, -eps
 	kept := s.cand[:0]
@@ -901,7 +960,8 @@ func (s *simplex) chooseLeaving(enter int, bland bool) int {
 // columns in every other row: the models this package solves are sparse
 // (2–4 nonzeros per row in the telescoped SSQPP formulation), so early
 // pivot rows touch a handful of columns instead of the full width and the
-// elimination cost tracks fill-in rather than the tableau size.
+// elimination cost tracks fill-in rather than the tableau size. Under
+// Devex pricing the same nonzeros update the reference weights.
 func (s *simplex) pivot(row, col int) {
 	s.pivots++
 	stride := s.stride
@@ -918,6 +978,10 @@ func (s *simplex) pivot(row, col int) {
 	pr[rhs] *= inv
 	pr[col] = 1 // kill roundoff
 	s.nz = nz
+	if s.devex {
+		s.updateWeights(pr, nz, s.basis[row], col)
+	}
+	updated := 0
 	for i := 0; i < s.m; i++ {
 		if i == row {
 			continue
@@ -927,6 +991,7 @@ func (s *simplex) pivot(row, col int) {
 		if f == 0 {
 			continue
 		}
+		updated++
 		ri := s.tab[base : base+stride]
 		for _, j := range nz {
 			ri[j] -= f * pr[j]
@@ -934,6 +999,7 @@ func (s *simplex) pivot(row, col int) {
 		ri[rhs] -= f * pr[rhs]
 		ri[col] = 0
 	}
+	s.elimUpdates += int64(len(nz)) * int64(updated)
 	if f := s.obj[col]; f != 0 {
 		for _, j := range nz {
 			s.obj[j] -= f * pr[j]
@@ -942,6 +1008,21 @@ func (s *simplex) pivot(row, col int) {
 		s.obj[col] = 0
 	}
 	s.basis[row] = col
+}
+
+// updateWeights applies the Devex weight update of a pivot on column enter,
+// whose basic column leave departs, given the scaled pivot row pr
+// (pr[j] = α_rj/α_rq) and its nonzero columns nz: every nonbasic column j
+// keeps w_j = max(w_j, pr[j]²·w_q), and the leaving column, whose entry is
+// 1/α_rq, gets max(1, w_q/α_rq²).
+func (s *simplex) updateWeights(pr []float64, nz []int, leave, enter int) {
+	wq := s.dw[enter]
+	for _, j := range nz {
+		if r := pr[j]; r*r*wq > s.dw[j] {
+			s.dw[j] = r * r * wq
+		}
+	}
+	s.dw[leave] = math.Max(1, pr[leave]*pr[leave]*wq)
 }
 
 // evictArtificials pivots any artificial variable that remains basic at

@@ -9,9 +9,9 @@ import (
 // variable is non-negative (and zero when fixed), every constraint holds
 // within tol scaled by the row's magnitude, and the reported objective
 // matches the cost vector applied to X. It returns the first violation
-// found. Solver clients on rewritten hot paths (the GAP LP, the Naor–Wool
-// strategy LP) call this after Solve so a simplex regression surfaces as an
-// explicit invariant failure instead of a silently wrong placement.
+// found. The SSQPP LP, the GAP LP and the Naor–Wool strategy LP call this
+// after every solve so a simplex regression surfaces as an explicit
+// invariant failure instead of a silently wrong placement.
 func (p *Problem) VerifySolution(sol *Solution, tol float64) error {
 	if sol == nil || sol.Status != Optimal {
 		return fmt.Errorf("lp: verify: no optimal solution (status %v)", sol.Status)

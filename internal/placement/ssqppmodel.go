@@ -434,6 +434,9 @@ func (sv *ssqppSolver) solveLP(v0 int) (*ssqppFrac, error) {
 	if err != nil {
 		return nil, fmt.Errorf("placement: SSQPP LP for v0=%d: %w", v0, err)
 	}
+	if err := prob.VerifySolution(sol, 1e-6); err != nil {
+		return nil, fmt.Errorf("placement: SSQPP LP for v0=%d returned an infeasible point: %w", v0, err)
+	}
 	xc := make([][]float64, nClasses)
 	for t := 0; t < nClasses; t++ {
 		xc[t] = make([]float64, mdl.nU)

@@ -243,6 +243,9 @@ func OptimalStrategy(s *System) (Strategy, float64, error) {
 	if err != nil {
 		return Strategy{}, 0, fmt.Errorf("quorum: optimal strategy LP: %w", err)
 	}
+	if err := prob.VerifySolution(sol, 1e-6); err != nil {
+		return Strategy{}, 0, fmt.Errorf("quorum: optimal strategy LP returned an infeasible point: %w", err)
+	}
 	p := make([]float64, m)
 	for i := range p {
 		p[i] = sol.X[pv[i]]
