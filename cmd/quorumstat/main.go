@@ -204,12 +204,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("%s: %v", s.Name(), err)
 		}
-		nd := "no"
-		if qp.IsNonDominated(s) {
-			nd = "yes"
+		// A measure whose analysis returns its error (past 64 elements,
+		// or past the search budget) prints n/a, as F(p) does past 20.
+		nd, res := "n/a", "n/a"
+		if ok, err := qp.IsNonDominated(s); err == nil {
+			nd = "no"
+			if ok {
+				nd = "yes"
+			}
 		}
-		fmt.Fprintf(stdout, "%-18s  %5d  %7d  %6d  %9.4f  %9.4f  %10d  %3s",
-			s.Name(), s.Universe(), s.NumQuorums(), qp.MinQuorumSize(s), load, qp.LoadLowerBound(s), qp.Resilience(s), nd)
+		if r, err := qp.Resilience(s); err == nil {
+			res = strconv.Itoa(r)
+		}
+		fmt.Fprintf(stdout, "%-18s  %5d  %7d  %6d  %9.4f  %9.4f  %10s  %3s",
+			s.Name(), s.Universe(), s.NumQuorums(), qp.MinQuorumSize(s), load, qp.LoadLowerBound(s), res, nd)
 		for _, p := range ps {
 			f, err := qp.FailureProbability(s, p)
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"regexp"
 	"strings"
 	"sync"
@@ -335,4 +336,52 @@ func (s *syncBuffer) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.b.String()
+}
+
+// TestDefaultTableGolden pins the default table byte for byte: all 14
+// default systems at -p 0.05,0.1,0.2,0.3.
+func TestDefaultTableGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/default.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	if err := run([]string{"-p", "0.05,0.1,0.2,0.3"}, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Fatalf("default table moved:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRunLargeSystems: each of these specs used to hang quorumstat for
+// over a minute or panic it. Every run exits 0 with the known resilience
+// and domination, and a cell reads n/a only when its analysis returns an
+// error.
+func TestRunLargeSystems(t *testing.T) {
+	for _, tc := range []struct{ spec, res, nd string }{
+		{"grid:6", "5", "no"}, {"grid:7", "6", "no"}, {"grid:8", "7", "no"},
+		{"majority:15:8", "7", "yes"}, {"fpp:5", "5", "no"}, {"fpp:7", "7", "no"},
+		{"recmajority:3", "7", "yes"},
+	} {
+		var out, errOut bytes.Buffer
+		if err := run([]string{"-system", tc.spec, "-p", "0.1"}, &out, &errOut); err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
+		}
+		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+		// system, n, quorums, c(S), opt load, load LB, resilience, ND, F(0.1)
+		row := strings.Fields(lines[len(lines)-1])
+		if len(row) != 9 || row[6] != tc.res || row[7] != tc.nd {
+			t.Fatalf("%s: row %q, want resilience %s and ND %s", tc.spec, row, tc.res, tc.nd)
+		}
+		if row[8] == "n/a" {
+			s, err := qp.ParseSystem(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := qp.FailureProbability(s, 0.1); err == nil {
+				t.Errorf("%s: F(0.1) prints n/a but FailureProbability returns no error", tc.spec)
+			}
+		}
+	}
 }

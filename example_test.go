@@ -57,8 +57,10 @@ func ExampleFailureProbability() {
 
 // ExampleIsNonDominated checks the classical domination facts.
 func ExampleIsNonDominated() {
-	fmt.Println(qp.IsNonDominated(qp.Majority(5, 3)))
-	fmt.Println(qp.IsNonDominated(qp.Grid(2)))
+	majority, _ := qp.IsNonDominated(qp.Majority(5, 3))
+	grid, _ := qp.IsNonDominated(qp.Grid(2))
+	fmt.Println(majority)
+	fmt.Println(grid)
 	// Output:
 	// true
 	// false

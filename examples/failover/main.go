@@ -48,7 +48,11 @@ func main() {
 	const crashP = 0.15
 	fmt.Printf("element-level failure probability of %s at p=%.2f: ", sys.Name(), crashP)
 	if f, err := qp.FailureProbability(sys, crashP); err == nil {
-		fmt.Printf("%.4f (resilience %d)\n\n", f, qp.Resilience(sys))
+		res, err := qp.Resilience(sys)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%.4f (resilience %d)\n\n", f, res)
 	}
 
 	fmt.Printf("%-22s  %-8s  %-11s  %-16s  %-13s  %-12s\n",

@@ -13,7 +13,10 @@ import (
 // after every solve so a simplex regression surfaces as an explicit
 // invariant failure instead of a silently wrong placement.
 func (p *Problem) VerifySolution(sol *Solution, tol float64) error {
-	if sol == nil || sol.Status != Optimal {
+	if sol == nil {
+		return fmt.Errorf("lp: verify: no solution")
+	}
+	if sol.Status != Optimal {
 		return fmt.Errorf("lp: verify: no optimal solution (status %v)", sol.Status)
 	}
 	if len(sol.X) != len(p.costs) {

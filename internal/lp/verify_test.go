@@ -42,6 +42,9 @@ func TestVerifySolutionDetectsViolations(t *testing.T) {
 		{"negative variable", func(s *Solution) { s.X[0], s.X[1] = -1, 4 }, "non-negativity"},
 		{"wrong objective", func(s *Solution) { s.Objective += 1 }, "objective"},
 	}
+	if err := p.VerifySolution(nil, 1e-9); err == nil || !strings.Contains(err.Error(), "no solution") {
+		t.Fatalf("nil solution: verifier returned %v, want an error", err)
+	}
 	for _, tc := range cases {
 		bad := &Solution{Status: sol.Status, Objective: sol.Objective, X: append([]float64(nil), sol.X...)}
 		tc.mutate(bad)

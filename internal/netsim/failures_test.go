@@ -171,7 +171,7 @@ func TestPlacementResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := quorum.Resilience(ins.Sys); rSpread != want {
+	if want, err := quorum.Resilience(ins.Sys); err != nil || rSpread != want {
 		t.Fatalf("spread resilience %d, element-level %d", rSpread, want)
 	}
 	colocated := placement.NewPlacement([]int{2, 2, 2, 2})

@@ -198,14 +198,3 @@ func (h *LogHist) stats() HistStats {
 	hs.P999 = h.Quantile(0.999)
 	return hs
 }
-
-// clone returns a deep copy, used by Snapshot to publish bucket data
-// without aliasing live state.
-func (h *LogHist) clone() *LogHist {
-	c := &LogHist{count: h.count, sum: h.sum, min: h.min, max: h.max,
-		buckets: make(map[int]int64, len(h.buckets))}
-	for k, n := range h.buckets {
-		c.buckets[k] = n
-	}
-	return c
-}

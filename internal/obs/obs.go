@@ -392,14 +392,6 @@ func Observe(name string, v float64) {
 	}
 }
 
-// MergeHist folds a privately accumulated histogram into the active
-// collector's named histogram; a no-op when telemetry is off.
-func MergeHist(name string, h *LogHist) {
-	if c := active.Load(); c != nil {
-		c.MergeHist(name, h)
-	}
-}
-
 // Counter reads a counter from a snapshot, 0 when absent. It exists so
 // benchmarks and tests read metrics without map-presence boilerplate.
 func (s *Snapshot) Counter(name string) int64 { return s.Counters[name] }

@@ -36,11 +36,6 @@ type ChromeTrace struct {
 	events []ChromeTraceEvent
 }
 
-// Add appends a raw event.
-func (t *ChromeTrace) Add(e ChromeTraceEvent) {
-	t.events = append(t.events, e)
-}
-
 // AddSpan appends a complete ("X") span event.
 func (t *ChromeTrace) AddSpan(name, cat string, pid, tid int, ts, dur float64, args any) {
 	t.events = append(t.events, ChromeTraceEvent{
@@ -101,17 +96,6 @@ func (t *ChromeTrace) Write(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, "]}\n")
 	return err
-}
-
-// WriteChromeTrace writes the snapshot's spans as Chrome trace-event JSON
-// loadable in Perfetto: every completed span becomes a complete event on
-// one process track ("solver"), with wall-clock microseconds since the
-// collector epoch. Concurrently open spans may overlap on the track;
-// Perfetto still renders them, stacked by start time.
-func (s *Snapshot) WriteChromeTrace(w io.Writer) error {
-	t := &ChromeTrace{}
-	s.AppendChromeTrace(t, 0)
-	return t.Write(w)
 }
 
 // AppendChromeTrace adds the snapshot's spans to an existing ChromeTrace

@@ -209,15 +209,6 @@ func (sh *Shard) Merge() {
 	*sh = Shard{} // inert: every method checks sh.c
 }
 
-// SpanCount reports how many spans the shard has completed so far (test and
-// debugging aid).
-func (sh *Shard) SpanCount() int {
-	if sh == nil {
-		return 0
-	}
-	return len(sh.spans)
-}
-
 // Rec routes instrumentation either through a Shard or through the ambient
 // package-level collector. The zero Rec is valid and means "ambient": code
 // that takes a Rec parameter works unchanged when called from sequential
@@ -242,24 +233,6 @@ func (r Rec) Count(name string, delta int64) {
 		return
 	}
 	Count(name, delta)
-}
-
-// Gauge sets a gauge.
-func (r Rec) Gauge(name string, v float64) {
-	if r.sh != nil {
-		r.sh.Gauge(name, v)
-		return
-	}
-	Gauge(name, v)
-}
-
-// GaugeMax raises a watermark gauge.
-func (r Rec) GaugeMax(name string, v float64) {
-	if r.sh != nil {
-		r.sh.GaugeMax(name, v)
-		return
-	}
-	GaugeMax(name, v)
 }
 
 // Observe records a histogram sample.

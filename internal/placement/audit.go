@@ -28,8 +28,9 @@ type AuditReport struct {
 	RelayNode   int
 	// UsedNodes is the number of distinct nodes hosting elements.
 	UsedNodes int
-	// NodeResilience is the number of node crashes always survived
-	// (computed only when the used-node count permits; -1 otherwise).
+	// NodeResilience is the number of node crashes always survived, or
+	// -1 when the hitting-set search fails (past 64 used nodes or its
+	// budget).
 	NodeResilience int
 }
 
@@ -81,10 +82,8 @@ func (ins *Instance) Audit(p Placement) (*AuditReport, error) {
 		return ha.Factor > hb.Factor
 	})
 	r.RelayFactor, r.RelayNode = RelayFactor(ins, p)
-	if r.UsedNodes <= maxExactNodes {
-		if res, err := ins.PlacementResilience(p); err == nil {
-			r.NodeResilience = res
-		}
+	if res, err := ins.PlacementResilience(p); err == nil {
+		r.NodeResilience = res
 	}
 	return r, nil
 }

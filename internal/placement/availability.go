@@ -1,9 +1,6 @@
 package placement
 
-import (
-	"fmt"
-	"math"
-)
+import "quorumplace/internal/quorum"
 
 // Availability of a *placed* quorum system under node crashes. Element-level
 // availability (internal/quorum) assumes elements fail independently; once
@@ -14,115 +11,46 @@ import (
 // "eliminates the advantages, such as load dispersion and fault tolerance,
 // of any distributed quorum-based algorithm").
 
-// maxExactNodes bounds the 2^n node-failure enumeration.
-const maxExactNodes = 20
+// placedSystem returns the quorum system pl induces on the nodes that host
+// elements: node i is the i-th distinct host in element order, and each
+// quorum becomes the set of nodes hosting its elements.
+func (ins *Instance) placedSystem(pl Placement) (*quorum.System, error) {
+	if err := ins.Validate(pl); err != nil {
+		return nil, err
+	}
+	idx := map[int]int{}
+	f := make([]int, pl.Len())
+	for u := range f {
+		v := pl.Node(u)
+		if _, ok := idx[v]; !ok {
+			idx[v] = len(idx)
+		}
+		f[u] = idx[v]
+	}
+	return ins.Sys.Image(ins.Sys.Name()+"-placed", len(idx), f), nil
+}
 
 // NodeFailureProbability returns the probability that no quorum of the
 // placed system is fully alive when every *node* fails independently with
 // probability p (all elements on a failed node become unavailable). The
-// 2^|V'| enumeration runs over only the nodes that actually host elements.
+// 2^|V'| enumeration of quorum.FailureProbability runs over only the nodes
+// that actually host elements.
 func (ins *Instance) NodeFailureProbability(pl Placement, p float64) (float64, error) {
-	if err := ins.Validate(pl); err != nil {
+	sys, err := ins.placedSystem(pl)
+	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return 0, fmt.Errorf("placement: node failure probability %v outside [0,1]", p)
-	}
-	// Compact the used nodes.
-	idx := map[int]int{}
-	for u := 0; u < pl.Len(); u++ {
-		v := pl.Node(u)
-		if _, ok := idx[v]; !ok {
-			idx[v] = len(idx)
-		}
-	}
-	k := len(idx)
-	if k > maxExactNodes {
-		return 0, fmt.Errorf("placement: %d used nodes exceed exact availability limit %d", k, maxExactNodes)
-	}
-	// Quorum masks over used-node indices: a quorum is alive iff every node
-	// hosting one of its elements is alive.
-	masks := make([]uint64, ins.Sys.NumQuorums())
-	for qi := 0; qi < ins.Sys.NumQuorums(); qi++ {
-		var m uint64
-		for _, u := range ins.Sys.Quorum(qi) {
-			m |= 1 << uint(idx[pl.Node(u)])
-		}
-		masks[qi] = m
-	}
-	total := 0.0
-	for alive := uint64(0); alive < 1<<uint(k); alive++ {
-		survives := false
-		for _, qm := range masks {
-			if alive&qm == qm {
-				survives = true
-				break
-			}
-		}
-		if survives {
-			continue
-		}
-		bits := 0
-		for x := alive; x != 0; x &= x - 1 {
-			bits++
-		}
-		total += math.Pow(1-p, float64(bits)) * math.Pow(p, float64(k-bits))
-	}
-	return total, nil
+	return quorum.FailureProbability(sys, p)
 }
 
 // PlacementResilience returns the largest number f of node crashes the
 // placed system always survives: for every set of f nodes, some quorum has
-// all its elements on other nodes. Computed as (minimum node hitting set
-// over placed quorums) − 1.
+// all its elements on other nodes. It is quorum.Resilience of the placed
+// system: (minimum node hitting set over placed quorums) − 1.
 func (ins *Instance) PlacementResilience(pl Placement) (int, error) {
-	if err := ins.Validate(pl); err != nil {
+	sys, err := ins.placedSystem(pl)
+	if err != nil {
 		return 0, err
 	}
-	idx := map[int]int{}
-	for u := 0; u < pl.Len(); u++ {
-		v := pl.Node(u)
-		if _, ok := idx[v]; !ok {
-			idx[v] = len(idx)
-		}
-	}
-	k := len(idx)
-	if k > 63 {
-		return 0, fmt.Errorf("placement: resilience computation limited to 63 used nodes, got %d", k)
-	}
-	masks := make([]uint64, ins.Sys.NumQuorums())
-	for qi := 0; qi < ins.Sys.NumQuorums(); qi++ {
-		var m uint64
-		for _, u := range ins.Sys.Quorum(qi) {
-			m |= 1 << uint(idx[pl.Node(u)])
-		}
-		masks[qi] = m
-	}
-	best := k + 1
-	var rec func(hit uint64, count int)
-	rec = func(hit uint64, count int) {
-		if count >= best {
-			return
-		}
-		var missing uint64
-		found := false
-		for _, qm := range masks {
-			if qm&hit == 0 {
-				missing = qm
-				found = true
-				break
-			}
-		}
-		if !found {
-			best = count
-			return
-		}
-		for b := 0; b < k; b++ {
-			if missing&(1<<uint(b)) != 0 {
-				rec(hit|1<<uint(b), count+1)
-			}
-		}
-	}
-	rec(0, 0)
-	return best - 1, nil
+	return quorum.Resilience(sys)
 }

@@ -2,6 +2,8 @@ package placement_test
 
 import (
 	"math"
+	"math/bits"
+	"math/rand"
 	"testing"
 
 	"quorumplace/internal/graph"
@@ -117,5 +119,54 @@ func TestPlacementResilienceDelayTradeoff(t *testing.T) {
 	}
 	if r != 1 {
 		t.Fatalf("spread resilience = %d, want 1", r)
+	}
+}
+
+// TestPlacedAvailabilityMatchesBruteForce: on random many-to-one
+// placements, NodeFailureProbability and PlacementResilience equal an
+// enumeration of every set of crashed nodes, where a set kills the placed
+// system when every quorum has an element on a crashed node.
+func TestPlacedAvailabilityMatchesBruteForce(t *testing.T) {
+	const nodes, prob = 8, 0.2
+	m := mustMetric(t, graph.Path(nodes))
+	rng := rand.New(rand.NewSource(3))
+	for _, sys := range []*quorum.System{
+		quorum.Majority(5, 3), quorum.Majority(6, 4), quorum.Grid(3), quorum.FPP(2), quorum.Wheel(5),
+		quorum.Star(6), quorum.CrumblingWalls([]int{2, 3, 2}), quorum.RecursiveMajority(2), quorum.Tree(2),
+	} {
+		ins, err := placement.NewInstance(m, uniformCaps(nodes, 100), sys, quorum.Uniform(sys.NumQuorums()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 20; trial++ {
+			f := make([]int, sys.Universe())
+			hosts := 1 + rng.Intn(nodes)
+			for u := range f {
+				f[u] = rng.Intn(hosts)
+			}
+			minKill, fail := nodes, 0.0
+			for dead := 0; dead < 1<<nodes; dead++ {
+				kills := true
+				for qi := 0; qi < sys.NumQuorums() && kills; qi++ {
+					hit := false
+					for _, u := range sys.Quorum(qi) {
+						hit = hit || dead&(1<<f[u]) != 0
+					}
+					kills = hit
+				}
+				if kills {
+					k := bits.OnesCount(uint(dead))
+					minKill = min(minKill, k)
+					fail += math.Pow(prob, float64(k)) * math.Pow(1-prob, float64(nodes-k))
+				}
+			}
+			pl := placement.NewPlacement(f)
+			if got, err := ins.NodeFailureProbability(pl, prob); err != nil || math.Abs(got-fail) > 1e-12 {
+				t.Fatalf("%s on %v: NodeFailureProbability = %v, %v; brute force %v", sys.Name(), f, got, err, fail)
+			}
+			if got, err := ins.PlacementResilience(pl); err != nil || got != minKill-1 {
+				t.Fatalf("%s on %v: PlacementResilience = %d, %v; brute force %d", sys.Name(), f, got, err, minKill-1)
+			}
+		}
 	}
 }

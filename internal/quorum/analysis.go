@@ -3,6 +3,7 @@ package quorum
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // This file provides the classical quality measures for quorum systems that
@@ -16,10 +17,18 @@ import (
 // maxExactAvailability bounds the exact 2^n failure-set enumeration.
 const maxExactAvailability = 20
 
+// maxMaskTests is the work budget of one exact analysis, a hitting-set
+// search or the failure-pattern enumeration, counted in quorum-mask tests:
+// about two seconds on a 2-vCPU x86 box. Counting work rather than time
+// makes an analysis that passes it fail the same way on every machine.
+const maxMaskTests = 1 << 30
+
+var errBudget = fmt.Errorf("analysis needs more than maxMaskTests = %d quorum-mask tests", maxMaskTests)
+
 // FailureProbability returns the probability that no quorum is fully alive
 // when every element fails independently with probability p — the system's
 // failure probability F_p(Q). It enumerates all 2^n failure patterns, so
-// it requires universe ≤ 20.
+// it requires universe ≤ 20 and 2^n × quorums ≤ maxMaskTests.
 func FailureProbability(s *System, p float64) (float64, error) {
 	n := s.universe
 	if n > maxExactAvailability {
@@ -29,6 +38,9 @@ func FailureProbability(s *System, p float64) (float64, error) {
 		return 0, fmt.Errorf("quorum: failure probability %v outside [0,1]", p)
 	}
 	masks := s.quorumMasks()
+	if len(masks) > maxMaskTests>>n { // each pattern tests at most every quorum
+		return 0, fmt.Errorf("quorum: %s: %w", s.name, errBudget)
+	}
 	total := 0.0
 	for alive := 0; alive < 1<<uint(n); alive++ {
 		survives := false
@@ -50,43 +62,19 @@ func FailureProbability(s *System, p float64) (float64, error) {
 // Resilience returns the largest f such that every set of f element
 // failures still leaves some quorum fully alive. Equivalently it is
 // (minimum hitting set of the quorums) − 1: the adversary must hit every
-// quorum to kill the system. Computed by branch and bound over elements,
-// practical for the moderate systems in this library.
-func Resilience(s *System) int {
-	if s.universe > 63 {
-		// The branch and bound uses uint64 masks.
-		panic(fmt.Sprintf("quorum: resilience computation limited to 63 elements, got %d", s.universe))
+// quorum to kill the system. The hitting-set search keeps the smallest
+// transversal found and looks only for smaller ones; it fails past 64
+// elements or past its budget.
+func Resilience(s *System) (int, error) {
+	best := s.universe // the whole universe hits every quorum
+	err := s.searchTransversals(best, func(t uint64) int {
+		best = popcount(t)
+		return best - 1
+	})
+	if err != nil {
+		return 0, err
 	}
-	masks := s.quorumMasks()
-	best := s.universe + 1 // upper bound on the hitting set size
-	var rec func(hit uint64, count int, from int)
-	rec = func(hit uint64, count int, from int) {
-		if count >= best {
-			return
-		}
-		// Find the first quorum not yet hit.
-		var missing uint64
-		found := false
-		for _, qm := range masks {
-			if qm&hit == 0 {
-				missing = qm
-				found = true
-				break
-			}
-		}
-		if !found {
-			best = count
-			return
-		}
-		// Branch on which element of the missing quorum to add.
-		for u := 0; u < s.universe; u++ {
-			if missing&(1<<uint(u)) != 0 {
-				rec(hit|1<<uint(u), count+1, from)
-			}
-		}
-	}
-	rec(0, 0, 0)
-	return best - 1
+	return best - 1, nil
 }
 
 // MinQuorumSize returns c(S), the cardinality of the smallest quorum.
@@ -122,11 +110,4 @@ func (s *System) quorumMasks() []uint64 {
 	return masks
 }
 
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
+func popcount(x uint64) int { return bits.OnesCount64(x) }

@@ -99,7 +99,7 @@ func TestResilience(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := Resilience(tc.s); got != tc.want {
+			if got := mustResilience(t, tc.s); got != tc.want {
 				t.Fatalf("Resilience = %d, want %d", got, tc.want)
 			}
 		})
@@ -204,7 +204,7 @@ func TestFailureProbabilityMonotoneProperty(t *testing.T) {
 func TestResilienceMatchesFailureEnumeration(t *testing.T) {
 	systems := []*System{Majority(5, 3), Grid(2), Wheel(4), FPP(2), CrumblingWalls([]int{2, 2})}
 	for _, s := range systems {
-		r := Resilience(s)
+		r := mustResilience(t, s)
 		masks := s.quorumMasks()
 		n := s.Universe()
 		killsAll := func(dead uint64) bool {
@@ -234,4 +234,13 @@ func TestResilienceMatchesFailureEnumeration(t *testing.T) {
 			t.Fatalf("%s: no failure set of size %d kills the system; resilience %d too low", s.Name(), r+1, r)
 		}
 	}
+}
+
+func mustResilience(t *testing.T, s *System) int {
+	t.Helper()
+	r, err := Resilience(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

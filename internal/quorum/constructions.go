@@ -11,6 +11,41 @@ import (
 // the paper's introduction and used here to exercise the general QPP
 // algorithms on structurally diverse inputs.
 
+// maxBuildWork caps the systems the constructions build, so that Parse
+// rejects a spec whose system would take too long or too much memory to
+// build. A system's build work is (quorums + universe) × total quorum size.
+// NewSystem's pairwise intersection check merges at most quorums × total
+// elements, and since total ≤ quorums × universe, the cap also holds the
+// total size to (maxBuildWork/2)^(2/3), about 1.6 million elements. At the
+// cap a build takes about a second on a 2-vCPU x86 box.
+const maxBuildWork = 1 << 31
+
+// checkBuild rejects the system name when its build work passes
+// maxBuildWork. The constructions call it with saturated counts before
+// they allocate anything.
+func checkBuild(name string, universe, quorums, total int) error {
+	if satMul(satAdd(quorums, universe), total) > maxBuildWork {
+		return fmt.Errorf("quorum: %s is too big to build: (quorums + universe) × total quorum size passes maxBuildWork = %d", name, maxBuildWork)
+	}
+	return nil
+}
+
+// satAdd and satMul add and multiply non-negative counts, saturating just
+// past maxBuildWork so that no size arithmetic overflows.
+func satAdd(a, b int) int {
+	if a > maxBuildWork+1-b {
+		return maxBuildWork + 1
+	}
+	return a + b
+}
+
+func satMul(a, b int) int {
+	if b != 0 && a > (maxBuildWork+1)/b {
+		return maxBuildWork + 1
+	}
+	return a * b
+}
+
 // Grid returns the k×k Grid quorum system [Cheung–Ammar–Ahamad; Kumar–
 // Rabinovich–Sinha]: universe of k² elements laid out in a k×k matrix;
 // quorum Q_{ij} is the union of row i and column j, so there are k² quorums
@@ -22,7 +57,11 @@ func grid(k int) (*System, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("quorum: grid needs k >= 1, got %d", k)
 	}
-	n := k * k
+	name := fmt.Sprintf("grid-%dx%d", k, k)
+	n := satMul(k, k)
+	if err := checkBuild(name, n, n, satMul(n, satAdd(k, k-1))); err != nil {
+		return nil, err
+	}
 	quorums := make([][]int, 0, n)
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
@@ -38,7 +77,7 @@ func grid(k int) (*System, error) {
 			quorums = append(quorums, q)
 		}
 	}
-	return NewSystem(fmt.Sprintf("grid-%dx%d", k, k), n, quorums)
+	return NewSystem(name, n, quorums)
 }
 
 // Majority returns the threshold quorum system of §4.2: all subsets of a
@@ -48,11 +87,24 @@ func grid(k int) (*System, error) {
 func Majority(n, t int) *System { return must(majority(n, t)) }
 
 func majority(n, t int) (*System, error) {
-	if 2*t <= n {
+	if t <= n/2 {
 		return nil, fmt.Errorf("quorum: majority threshold t=%d does not guarantee intersection for n=%d (need 2t > n)", t, n)
 	}
 	if t > n {
 		return nil, fmt.Errorf("quorum: majority threshold t=%d exceeds universe %d", t, n)
+	}
+	name := fmt.Sprintf("majority-%d-of-%d", t, n)
+	// C(n, t) = C(n, n−t), built up while it stays under the budget; past
+	// it, or when n alone is, the count saturates.
+	m := maxBuildWork + 1
+	if n <= maxBuildWork {
+		m = 1
+		for i := 0; i < n-t && m <= maxBuildWork; i++ {
+			m = m * (n - i) / (i + 1)
+		}
+	}
+	if err := checkBuild(name, n, m, satMul(m, t)); err != nil {
+		return nil, err
 	}
 	var quorums [][]int
 	cur := make([]int, 0, t)
@@ -71,7 +123,7 @@ func majority(n, t int) (*System, error) {
 		}
 	}
 	rec(0)
-	return NewSystem(fmt.Sprintf("majority-%d-of-%d", t, n), n, quorums)
+	return NewSystem(name, n, quorums)
 }
 
 // Singleton returns the degenerate system with a single one-element quorum,
@@ -90,11 +142,15 @@ func star(n int) (*System, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("quorum: star needs n >= 2, got %d", n)
 	}
+	name := fmt.Sprintf("star-%d", n)
+	if err := checkBuild(name, n, n-1, satMul(n-1, 2)); err != nil {
+		return nil, err
+	}
 	quorums := make([][]int, 0, n-1)
 	for i := 1; i < n; i++ {
 		quorums = append(quorums, []int{0, i})
 	}
-	return NewSystem(fmt.Sprintf("star-%d", n), n, quorums)
+	return NewSystem(name, n, quorums)
 }
 
 // Wheel returns the wheel system [Marcus–Peleg style]: quorums are
@@ -106,6 +162,10 @@ func wheel(n int) (*System, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("quorum: wheel needs n >= 3, got %d", n)
 	}
+	name := fmt.Sprintf("wheel-%d", n)
+	if err := checkBuild(name, n, n, satMul(n-1, 3)); err != nil {
+		return nil, err
+	}
 	quorums := make([][]int, 0, n)
 	spokes := make([]int, 0, n-1)
 	for i := 1; i < n; i++ {
@@ -113,7 +173,7 @@ func wheel(n int) (*System, error) {
 		spokes = append(spokes, i)
 	}
 	quorums = append(quorums, spokes)
-	return NewSystem(fmt.Sprintf("wheel-%d", n), n, quorums)
+	return NewSystem(name, n, quorums)
 }
 
 // FPP returns the finite-projective-plane quorum system of prime-power
@@ -130,6 +190,13 @@ func wheel(n int) (*System, error) {
 func FPP(q int) *System { return must(fpp(q)) }
 
 func fpp(q int) (*System, error) {
+	name := fmt.Sprintf("fpp-%d", q)
+	if q >= 2 { // newGF rejects the rest
+		n := satAdd(satMul(q, q), satAdd(q, 1))
+		if err := checkBuild(name, n, n, satMul(n, satAdd(q, 1))); err != nil {
+			return nil, err
+		}
+	}
 	f, err := newGF(q)
 	if err != nil {
 		return nil, fmt.Errorf("quorum: FPP order %d must be a prime power >= 2: %v", q, err)
@@ -163,7 +230,7 @@ func fpp(q int) (*System, error) {
 		inf = append(inf, q*q+m)
 	}
 	quorums = append(quorums, inf)
-	return NewSystem(fmt.Sprintf("fpp-%d", q), n, quorums)
+	return NewSystem(name, n, quorums)
 }
 
 // CrumblingWalls returns the Peleg–Wool crumbling-walls system for the given
@@ -178,14 +245,26 @@ func crumblingWalls(widths []int) (*System, error) {
 	if len(widths) == 0 {
 		return nil, fmt.Errorf("quorum: crumbling walls needs at least one row")
 	}
-	offsets := make([]int, len(widths)+1)
-	for i, w := range widths {
+	name := fmt.Sprintf("cwall-%v", widths)
+	// Row i's quorums number the product of the widths below it, and each
+	// holds the row and one element of every row below.
+	n, m, total, below := 0, 0, 0, 1
+	for i := len(widths) - 1; i >= 0; i-- {
+		w := widths[i]
 		if w < 1 {
 			return nil, fmt.Errorf("quorum: crumbling walls row %d has width %d", i, w)
 		}
+		n, m = satAdd(n, w), satAdd(m, below)
+		total = satAdd(total, satMul(below, satAdd(w, len(widths)-1-i)))
+		below = satMul(below, w)
+	}
+	if err := checkBuild(name, n, m, total); err != nil {
+		return nil, err
+	}
+	offsets := make([]int, len(widths)+1)
+	for i, w := range widths {
 		offsets[i+1] = offsets[i] + w
 	}
-	n := offsets[len(widths)]
 	var quorums [][]int
 	// Enumerate: for each full row i, every combination of representatives
 	// from the rows below.
@@ -214,7 +293,7 @@ func crumblingWalls(widths []int) (*System, error) {
 	for i := range widths {
 		rec(i, 0, nil)
 	}
-	return NewSystem(fmt.Sprintf("cwall-%v", widths), n, quorums)
+	return NewSystem(name, n, quorums)
 }
 
 // Tree returns the Agrawal–El Abbadi tree quorum system on a complete

@@ -2,6 +2,7 @@ package quorum
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -43,105 +44,118 @@ func MinimalQuorums(s *System) [][]int {
 	return out
 }
 
-// Transversals returns all minimal transversals of s: inclusion-minimal
-// sets of elements that intersect every quorum. The quorums of the dual
-// system. Exponential in the worst case; intended for the small systems in
-// this library (universe ≤ ~20).
-func Transversals(s *System) [][]int {
-	if s.universe > 63 {
-		panic(fmt.Sprintf("quorum: transversal enumeration limited to 63 elements, got %d", s.universe))
-	}
-	masks := s.quorumMasks()
-	var found []uint64
-	// Branch over the first un-hit quorum, as in Resilience, but keep all
-	// minimal solutions rather than just the size.
-	var rec func(hit uint64)
-	rec = func(hit uint64) {
-		var missing uint64
-		complete := true
-		for _, qm := range masks {
-			if qm&hit == 0 {
-				missing = qm
-				complete = false
-				break
-			}
-		}
-		if complete {
-			// Minimize: drop any redundant element.
-			min := minimizeTransversal(hit, masks)
-			for _, f := range found {
-				if f == min {
-					return
-				}
-			}
-			found = append(found, min)
-			return
-		}
-		for u := 0; u < s.universe; u++ {
-			if missing&(1<<uint(u)) != 0 {
-				rec(hit | 1<<uint(u))
-			}
-		}
-	}
-	rec(0)
-	// Deduplicate and drop non-minimal ones (minimizeTransversal gives a
-	// minimal set, but different branches can yield supersets of another
-	// branch's result before minimization; after it, sets are minimal but
-	// may still duplicate).
-	var out [][]int
-	seen := map[uint64]bool{}
-	for _, f := range found {
-		if seen[f] {
-			continue
-		}
-		seen[f] = true
-		var t []int
-		for u := 0; u < s.universe; u++ {
-			if f&(1<<uint(u)) != 0 {
-				t = append(t, u)
-			}
-		}
-		out = append(out, t)
-	}
-	sortQuorumList(out)
-	return out
+// transversalSearch enumerates the minimal transversals of a family of
+// quorums over at most 64 elements, each quorum a bitmask. A node is a
+// chosen set and an excluded set. It takes the quorum the chosen set misses
+// with the fewest elements not excluded (the first such in order) and
+// branches on those elements in order; each branch excludes the elements
+// its earlier siblings chose, so every minimal transversal is reached by
+// exactly one path. A node whose chosen set has an element that hits no
+// quorum alone (no private quorum) is pruned: no superset of it is
+// minimal. Every leaf is therefore a minimal transversal, and no set needs
+// minimizing or deduplicating.
+type transversalSearch struct {
+	masks []uint64
+	// limit is the largest transversal size still wanted; visit returns
+	// the new limit, and a negative one ends the search.
+	limit int
+	visit func(t uint64) int
+	tests int
 }
 
-// minimizeTransversal greedily removes redundant elements (highest index
-// first) while the set still hits every quorum.
-func minimizeTransversal(hit uint64, masks []uint64) uint64 {
-	for u := 63; u >= 0; u-- {
-		bit := uint64(1) << uint(u)
-		if hit&bit == 0 {
-			continue
+func (ts *transversalSearch) node(chosen, excluded uint64, size int) error {
+	if ts.tests += len(ts.masks); ts.tests > maxMaskTests {
+		return errBudget
+	}
+	var private, missed uint64
+	hitsAll := true
+	for _, m := range ts.masks {
+		h := m & chosen
+		if h&(h-1) == 0 { // at most one chosen element hits m
+			private |= h
 		}
-		cand := hit &^ bit
-		ok := true
-		for _, qm := range masks {
-			if qm&cand == 0 {
-				ok = false
-				break
+		if h == 0 {
+			c := m &^ excluded
+			if hitsAll || popcount(c) < popcount(missed) {
+				missed, hitsAll = c, false
 			}
 		}
-		if ok {
-			hit = cand
+	}
+	switch {
+	case private != chosen:
+		return nil
+	case hitsAll:
+		ts.limit = ts.visit(chosen)
+		return nil
+	}
+	for cand := missed; cand != 0 && size < ts.limit; cand &= cand - 1 {
+		u := cand & -cand
+		if err := ts.node(chosen|u, excluded, size+1); err != nil {
+			return err
+		}
+		excluded |= u
+	}
+	return nil
+}
+
+// searchTransversals runs the hitting-set search over the quorums of s.
+// It fails past 64 elements or past maxMaskTests.
+func (s *System) searchTransversals(limit int, visit func(t uint64) int) error {
+	if s.universe > 64 {
+		return fmt.Errorf("quorum: %s has %d elements; the hitting-set search handles at most 64", s.name, s.universe)
+	}
+	ts := transversalSearch{masks: s.quorumMasks(), limit: limit, visit: visit}
+	if err := ts.node(0, 0, 0); err != nil {
+		return fmt.Errorf("quorum: %s: %w", s.name, err)
+	}
+	return nil
+}
+
+// Transversals returns all minimal transversals of s: inclusion-minimal
+// sets of elements that intersect every quorum. The quorums of the dual
+// system. Exponential in the worst case, so it fails past 64 elements or
+// past the search budget.
+func Transversals(s *System) ([][]int, error) {
+	var found []uint64
+	err := s.searchTransversals(64, func(t uint64) int {
+		found = append(found, t)
+		return 64
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]int, len(found))
+	for i, t := range found {
+		for ; t != 0; t &= t - 1 {
+			out[i] = append(out[i], bits.TrailingZeros64(t))
 		}
 	}
-	return hit
+	sortQuorumList(out)
+	return out, nil
 }
 
 // IsNonDominated reports whether the system's antichain is a non-dominated
 // coterie: no coterie D ≠ C has every quorum of C containing a quorum of D
 // (Garcia-Molina–Barbara). The classical characterization used here:
 // C is ND iff every transversal of C contains a quorum, which for an
-// antichain is equivalent to self-duality, Tr(C) = C.
-func IsNonDominated(s *System) bool {
-	min := MinimalQuorums(s)
-	minSys, err := NewSystem(s.name+"-min", s.universe, min)
-	if err != nil {
-		return false
+// antichain is equivalent to self-duality, Tr(C) = C. Every quorum of an
+// intersecting system contains a minimal transversal, so the search stops
+// at the first minimal transversal that is not a quorum. It fails past 64
+// elements or past the search budget.
+func IsNonDominated(s *System) (bool, error) {
+	quorums := map[uint64]bool{}
+	for _, m := range s.quorumMasks() {
+		quorums[m] = true
 	}
-	return equalQuorumLists(min, Transversals(minSys))
+	nd := true
+	err := s.searchTransversals(64, func(t uint64) int {
+		if !quorums[t] {
+			nd = false
+			return -1
+		}
+		return 64
+	})
+	return nd && err == nil, err
 }
 
 func sortQuorumList(qs [][]int) {
@@ -154,21 +168,4 @@ func sortQuorumList(qs [][]int) {
 		}
 		return len(x) < len(y)
 	})
-}
-
-func equalQuorumLists(a, b [][]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -20,7 +20,7 @@ func TestTransversalsMajority(t *testing.T) {
 	// Majority(3,2): quorums {01,02,12}; minimal transversals are exactly
 	// the quorums themselves (self-dual coterie).
 	s := Majority(3, 2)
-	trans := Transversals(s)
+	trans := mustTransversals(t, s)
 	want := [][]int{{0, 1}, {0, 2}, {1, 2}}
 	if !equalQuorumLists(trans, want) {
 		t.Fatalf("Transversals = %v, want %v", trans, want)
@@ -31,7 +31,7 @@ func TestTransversalsStar(t *testing.T) {
 	// Star(4): quorums {0,1},{0,2},{0,3}. Minimal transversals: {0} and
 	// {1,2,3}.
 	s := Star(4)
-	trans := Transversals(s)
+	trans := mustTransversals(t, s)
 	want := [][]int{{0}, {1, 2, 3}}
 	if !equalQuorumLists(trans, want) {
 		t.Fatalf("Transversals = %v, want %v", trans, want)
@@ -42,7 +42,7 @@ func TestTransversalsGridNonIntersecting(t *testing.T) {
 	// Grid(2) is dominated: {0,3} and {1,2} are disjoint minimal
 	// transversals (each hits every row∪column quorum).
 	s := Grid(2)
-	trans := Transversals(s)
+	trans := mustTransversals(t, s)
 	found03, found12 := false, false
 	for _, tr := range trans {
 		if len(tr) == 2 && tr[0] == 0 && tr[1] == 3 {
@@ -65,7 +65,7 @@ func TestTransversalsGridNonIntersecting(t *testing.T) {
 // quorum, and is minimal (dropping any element misses some quorum).
 func TestTransversalsMeetAllQuorums(t *testing.T) {
 	for _, s := range []*System{Majority(5, 3), Grid(2), Grid(3), Wheel(5), FPP(2), Star(5), Tree(2)} {
-		for _, tr := range Transversals(s) {
+		for _, tr := range mustTransversals(t, s) {
 			for qi := 0; qi < s.NumQuorums(); qi++ {
 				if !sortedIntersect(tr, s.Quorum(qi)) {
 					t.Fatalf("%s: transversal %v misses quorum %v", s.Name(), tr, s.Quorum(qi))
@@ -93,7 +93,7 @@ func TestTransversalsMeetAllQuorums(t *testing.T) {
 // non-dominated.
 func TestSelfDualSystems(t *testing.T) {
 	for _, s := range []*System{Majority(3, 2), Majority(5, 3), FPP(2)} {
-		min, trans := MinimalQuorums(s), Transversals(s)
+		min, trans := MinimalQuorums(s), mustTransversals(t, s)
 		if !equalQuorumLists(min, trans) {
 			t.Fatalf("%s is not self-dual: %d transversals vs %d minimal quorums", s.Name(), len(trans), len(min))
 		}
@@ -127,8 +127,8 @@ func TestIsNonDominated(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := IsNonDominated(tc.s); got != tc.want {
-				t.Fatalf("IsNonDominated = %v, want %v", got, tc.want)
+			if got, err := IsNonDominated(tc.s); err != nil || got != tc.want {
+				t.Fatalf("IsNonDominated = %v, %v, want %v", got, err, tc.want)
 			}
 		})
 	}
@@ -145,7 +145,7 @@ func TestDoubleTransversalInvolution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr1 := Transversals(minSys)
+		tr1 := mustTransversals(t, minSys)
 		// Build a raw holder for the (possibly non-intersecting) family:
 		// compute transversals directly from masks.
 		tr2 := transversalsOfFamily(s.Universe(), tr1)
@@ -156,7 +156,7 @@ func TestDoubleTransversalInvolution(t *testing.T) {
 }
 
 // transversalsOfFamily enumerates minimal transversals of an arbitrary set
-// family (no intersection requirement), mirroring Transversals.
+// family (no intersection requirement) with the search Transversals runs.
 func transversalsOfFamily(universe int, family [][]int) [][]int {
 	masks := make([]uint64, len(family))
 	for i, q := range family {
@@ -166,42 +166,8 @@ func transversalsOfFamily(universe int, family [][]int) [][]int {
 		}
 		masks[i] = m
 	}
-	var found []uint64
-	var rec func(hit uint64)
-	rec = func(hit uint64) {
-		var missing uint64
-		complete := true
-		for _, qm := range masks {
-			if qm&hit == 0 {
-				missing = qm
-				complete = false
-				break
-			}
-		}
-		if complete {
-			min := minimizeTransversal(hit, masks)
-			for _, f := range found {
-				if f == min {
-					return
-				}
-			}
-			found = append(found, min)
-			return
-		}
-		for u := 0; u < universe; u++ {
-			if missing&(1<<uint(u)) != 0 {
-				rec(hit | 1<<uint(u))
-			}
-		}
-	}
-	rec(0)
 	var out [][]int
-	seen := map[uint64]bool{}
-	for _, f := range found {
-		if seen[f] {
-			continue
-		}
-		seen[f] = true
+	ts := transversalSearch{masks: masks, limit: universe, visit: func(f uint64) int {
 		var tr []int
 		for u := 0; u < universe; u++ {
 			if f&(1<<uint(u)) != 0 {
@@ -209,6 +175,10 @@ func transversalsOfFamily(universe int, family [][]int) [][]int {
 			}
 		}
 		out = append(out, tr)
+		return universe
+	}}
+	if err := ts.node(0, 0, 0); err != nil {
+		panic(err)
 	}
 	sortQuorumList(out)
 	return out
@@ -218,15 +188,41 @@ func transversalsOfFamily(universe int, family [][]int) [][]int {
 // transversal) − 1; cross-check the two implementations.
 func TestResilienceViaTransversals(t *testing.T) {
 	for _, s := range []*System{Majority(5, 3), Grid(3), Wheel(5), FPP(2), Star(5), CrumblingWalls([]int{2, 2})} {
-		trans := Transversals(s)
+		trans := mustTransversals(t, s)
 		min := s.Universe() + 1
 		for _, tr := range trans {
 			if len(tr) < min {
 				min = len(tr)
 			}
 		}
-		if got := Resilience(s); got != min-1 {
+		if got := mustResilience(t, s); got != min-1 {
 			t.Fatalf("%s: Resilience = %d, smallest transversal %d", s.Name(), got, min)
 		}
 	}
+}
+
+func mustTransversals(t *testing.T, s *System) [][]int {
+	t.Helper()
+	trans, err := Transversals(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trans
+}
+
+func equalQuorumLists(a, b [][]int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if a[i][j] != b[i][j] {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -14,12 +14,17 @@ func recursiveMajority(height int) (*System, error) {
 	if height < 1 {
 		return nil, fmt.Errorf("quorum: recursive majority needs height >= 1, got %d", height)
 	}
-	n := 1
-	for i := 0; i < height; i++ {
-		n *= 3
+	name := fmt.Sprintf("recmajority-h%d", height)
+	// 3^h elements and Q(h) = 3·Q(h−1)² quorums of 2^h elements, Q(0) = 1;
+	// the loop stops once the count saturates.
+	n, m, size := 1, 1, 1
+	for i := 0; i < height && m <= maxBuildWork; i++ {
+		n, m, size = satMul(n, 3), satMul(3, satMul(m, m)), satMul(size, 2)
 	}
-	quorums := recMajQuorums(0, n, height)
-	return NewSystem(fmt.Sprintf("recmajority-h%d", height), n, quorums)
+	if err := checkBuild(name, n, m, satMul(m, size)); err != nil {
+		return nil, err
+	}
+	return NewSystem(name, n, recMajQuorums(0, n, height))
 }
 
 // recMajQuorums enumerates the recursive-majority quorums of the block of

@@ -2,7 +2,7 @@ package quorum
 
 import (
 	"reflect"
-	"strconv"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -72,23 +72,37 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseBudget: a spec whose system passes maxBuildWork is an error
+// that names the budget, returned before any quorum is allocated; the
+// largest systems the programs and tests build stay under it.
+func TestParseBudget(t *testing.T) {
+	for _, spec := range []string{"recmajority:4", "majority:30:16", "grid:56", "fpp:64", "star:100000", "wheel:30000", "cwall:1000000000", "cwall:9,9,9,9,9,9,9,9", "majority:9223372036854775807:9223372036854775000", "recmajority:9223372036854775807"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(spec)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "maxBuildWork") {
+			t.Errorf("Parse(%q) = %v, want an error naming maxBuildWork", spec, err)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 1<<16 {
+			t.Errorf("Parse(%q) allocated %d bytes before rejecting it", spec, b)
+		}
+	}
+	for _, spec := range []string{"majority:15:8", "majority:16:9", "recmajority:3", "grid:8", "fpp:7"} {
+		if _, err := Parse(spec); err != nil {
+			t.Errorf("Parse(%q): %v", spec, err)
+		}
+	}
+}
+
 // FuzzParse checks that no spec makes Parse panic and that a spec it
-// accepts builds a system. Numbers above 3 and long specs are skipped:
-// majority, recmajority and cwall enumerate every quorum, and
-// recmajority:4 alone has 14 million.
+// accepts builds a system. maxBuildWork keeps every accepted spec small
+// enough to build.
 func FuzzParse(f *testing.F) {
 	for _, tc := range parseCases {
 		f.Add(tc.spec)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		if len(spec) > 20 {
-			t.Skip()
-		}
-		for _, num := range strings.FieldsFunc(spec, func(r rune) bool { return r < '0' || r > '9' }) {
-			if x, err := strconv.Atoi(num); err != nil || x > 3 {
-				t.Skip()
-			}
-		}
 		sys, err := Parse(spec)
 		if err == nil && sys == nil {
 			t.Fatalf("Parse(%q) returned neither a system nor an error", spec)

@@ -17,6 +17,7 @@ package quorum
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"quorumplace/internal/lp"
@@ -91,6 +92,24 @@ func (s *System) Quorum(i int) []int { return s.quorums[i] }
 // Quorums returns all quorums. The outer and inner slices are owned by the
 // system and must not be modified.
 func (s *System) Quorums() [][]int { return s.quorums }
+
+// Image returns the system named name whose quorums are the images of the
+// quorums of s under f, which maps element u to f[u] in {0, ..., universe-1}:
+// the system a placement induces on its nodes, where the elements one node
+// hosts fail together. Images of intersecting quorums intersect, so no
+// pairwise check runs.
+func (s *System) Image(name string, universe int, f []int) *System {
+	quorums := make([][]int, len(s.quorums))
+	for i, q := range s.quorums {
+		img := make([]int, len(q))
+		for j, u := range q {
+			img[j] = f[u]
+		}
+		slices.Sort(img)
+		quorums[i] = slices.Compact(img)
+	}
+	return &System{name: name, universe: universe, quorums: quorums}
+}
 
 // VerifyIntersection checks the defining property: every pair of quorums
 // shares at least one element. Quorums are sorted, so each pair is checked

@@ -39,8 +39,11 @@ echo "== fuzz smoke (invariant auditor, bounded)"
 for target in FuzzSolveQPP FuzzSolveTotalDelay FuzzLPvsExact FuzzRunWithFailures FuzzTreeDPvsLP; do
     go test ./internal/check -run '^$' -fuzz "^${target}\$" -fuzztime "${FUZZTIME:-20s}"
 done
-# No quorum-system spec a command accepts may panic the parser.
-go test ./internal/quorum -run '^$' -fuzz '^FuzzParse$' -fuzztime "${FUZZTIME:-20s}"
+# No quorum-system spec a command accepts may panic the parser, and the
+# hitting-set search must match a brute force over every element set.
+for target in FuzzParse FuzzHittingSetSearch; do
+    go test ./internal/quorum -run '^$' -fuzz "^${target}\$" -fuzztime "${FUZZTIME:-20s}"
+done
 
 echo "== tree-DP scaling smoke (10^4-node exact solve with independent re-evaluation)"
 go test ./internal/treedp -run 'TestTreeDPLargeSmoke' -count=1 -short
