@@ -304,8 +304,8 @@ func BenchmarkE11NetsimValidation(b *testing.B) {
 	}
 	// Deterministic tail-latency metrics from one fixed-seed run: unlike
 	// ns/op these are virtual-time quantities, identical on every machine,
-	// so benchdiff -metric can gate them across snapshots from different
-	// hardware (scripts/check.sh pins p99_delay within a 2% band).
+	// so cmd/benchdiff's table can band them across snapshots from
+	// different hardware.
 	fixed, err := RunSim(SimConfig{
 		Instance:          ins,
 		Placement:         p,
@@ -524,8 +524,8 @@ func BenchmarkE14StrategyOpt(b *testing.B) {
 // Telemetry is enabled so the queueing engine's event count — issues,
 // arrivals and service completions, not directly derivable from
 // QueueStats — backs the events/sec/core metric; the per-run telemetry
-// cost (one span plus a run-local latency histogram) is covered by an
-// allocation band in scripts/check.sh.
+// cost (one span plus a run-local latency histogram) is covered by its own
+// allocation band in cmd/benchdiff's table.
 func BenchmarkE15Queueing(b *testing.B) {
 	ins := benchInstance(b, 8, Grid(2))
 	rng := rand.New(rand.NewSource(41))
@@ -581,8 +581,8 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 // on the E7 broom family at k = 5 (a single quorum over all n = k²+1 nodes,
 // so every per-source SSQPP solve carries a real LP). All sub-benchmarks
 // solve the identical instance with a fixed worker count; the ratio of
-// workers=1 to workers=4 ns/op is the parallel speedup and is gated by
-// `benchdiff -speedup` in CI. Worker counts beyond GOMAXPROCS only
+// workers=1 to workers=4 ns/op is the parallel speedup, a ratio in
+// cmd/benchdiff's table. Worker counts beyond GOMAXPROCS only
 // interleave, so compare sub-benchmarks under `-cpu N` pinning (or on a
 // machine) with at least as many cores as workers; scripts/bench.sh records
 // the run's GOMAXPROCS in the snapshot for exactly this reason. Each
@@ -686,8 +686,11 @@ func BenchmarkWANReplicaQPP(b *testing.B) {
 // system — is sized so one op is tens of thousands of events, enough for
 // the shards to amortize spawn and merge. events/sec/core divides by the
 // worker count, making the scaling efficiency visible directly in the
-// BENCH snapshots; CI gates the workers=1 vs workers=4 wall-clock ratio at
-// ≥2× via benchdiff -speedup (skipped below 4 CPUs).
+// BENCH snapshots. sim=failures also reports crash_draws/op, the crash
+// states one run peeks (one per hosting node per access), counted in one
+// untimed seed-0 run after the timed loop, so it is exact and the same at
+// every worker count. cmd/benchdiff's table gates the count and the
+// workers=1 / workers=4 ratio of sim=run.
 func BenchmarkParallelNetsim(b *testing.B) {
 	ins := benchInstance(b, 96, Grid(3))
 	rng := rand.New(rand.NewSource(51))
@@ -741,6 +744,13 @@ func BenchmarkParallelNetsim(b *testing.B) {
 					eps := float64(c.Snapshot().Counter("netsim.events")) / secs
 					b.ReportMetric(eps, "events/sec")
 					b.ReportMetric(eps/float64(w), "events/sec/core")
+				}
+				if sim.name == "failures" {
+					c := EnableTelemetry()
+					if err := sim.run(w, 0); err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(float64(c.Snapshot().Counter("netsim.crash_draws")), "crash_draws/op")
 				}
 			})
 		}

@@ -200,13 +200,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintln(stdout)
 	for _, s := range systems {
-		_, load, err := qp.OptimalStrategy(s)
-		if err != nil {
-			return fmt.Errorf("%s: %v", s.Name(), err)
+		// A measure whose analysis returns its error (the optimal-strategy
+		// LP past its tableau budget, the others past 64 elements or past
+		// the search budget) prints n/a, as F(p) does past 20.
+		load, nd, res := "n/a", "n/a", "n/a"
+		if _, l, err := qp.OptimalStrategy(s); err == nil {
+			load = fmt.Sprintf("%.4f", l)
 		}
-		// A measure whose analysis returns its error (past 64 elements,
-		// or past the search budget) prints n/a, as F(p) does past 20.
-		nd, res := "n/a", "n/a"
 		if ok, err := qp.IsNonDominated(s); err == nil {
 			nd = "no"
 			if ok {
@@ -216,7 +216,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if r, err := qp.Resilience(s); err == nil {
 			res = strconv.Itoa(r)
 		}
-		fmt.Fprintf(stdout, "%-18s  %5d  %7d  %6d  %9.4f  %9.4f  %10s  %3s",
+		fmt.Fprintf(stdout, "%-18s  %5d  %7d  %6d  %9s  %9.4f  %10s  %3s",
 			s.Name(), s.Universe(), s.NumQuorums(), qp.MinQuorumSize(s), load, qp.LoadLowerBound(s), res, nd)
 		for _, p := range ps {
 			f, err := qp.FailureProbability(s, p)

@@ -355,14 +355,20 @@ func TestDefaultTableGolden(t *testing.T) {
 }
 
 // TestRunLargeSystems: each of these specs used to hang quorumstat for
-// over a minute or panic it. Every run exits 0 with the known resilience
-// and domination, and a cell reads n/a only when its analysis returns an
-// error.
+// over a minute, panic it or run it out of memory. Every run exits 0 with
+// the known resilience and domination, the last four with an opt load of
+// n/a (their optimal-strategy LP passes its tableau budget), and a cell
+// reads n/a only when its analysis returns an error.
 func TestRunLargeSystems(t *testing.T) {
-	for _, tc := range []struct{ spec, res, nd string }{
-		{"grid:6", "5", "no"}, {"grid:7", "6", "no"}, {"grid:8", "7", "no"},
-		{"majority:15:8", "7", "yes"}, {"fpp:5", "5", "no"}, {"fpp:7", "7", "no"},
-		{"recmajority:3", "7", "yes"},
+	for _, tc := range []struct {
+		spec, res, nd string
+		noLoad        bool
+	}{
+		{"grid:6", "5", "no", false}, {"grid:7", "6", "no", false}, {"grid:8", "7", "no", false},
+		{"majority:15:8", "7", "yes", false}, {"fpp:5", "5", "no", false}, {"fpp:7", "7", "no", false},
+		{"recmajority:3", "7", "yes", false},
+		{"star:23000", "n/a", "n/a", true}, {"grid:55", "n/a", "n/a", true},
+		{"fpp:61", "n/a", "n/a", true}, {"wheel:5000", "n/a", "n/a", true},
 	} {
 		var out, errOut bytes.Buffer
 		if err := run([]string{"-system", tc.spec, "-p", "0.1"}, &out, &errOut); err != nil {
@@ -371,16 +377,19 @@ func TestRunLargeSystems(t *testing.T) {
 		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 		// system, n, quorums, c(S), opt load, load LB, resilience, ND, F(0.1)
 		row := strings.Fields(lines[len(lines)-1])
-		if len(row) != 9 || row[6] != tc.res || row[7] != tc.nd {
-			t.Fatalf("%s: row %q, want resilience %s and ND %s", tc.spec, row, tc.res, tc.nd)
+		if len(row) != 9 || row[6] != tc.res || row[7] != tc.nd || (row[4] == "n/a") != tc.noLoad {
+			t.Fatalf("%s: row %q, want resilience %s, ND %s and opt load n/a %v", tc.spec, row, tc.res, tc.nd, tc.noLoad)
 		}
-		if row[8] == "n/a" {
+		if row[8] == "n/a" || tc.noLoad {
 			s, err := qp.ParseSystem(tc.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := qp.FailureProbability(s, 0.1); err == nil {
+			if _, err := qp.FailureProbability(s, 0.1); row[8] == "n/a" && err == nil {
 				t.Errorf("%s: F(0.1) prints n/a but FailureProbability returns no error", tc.spec)
+			}
+			if _, _, err := qp.OptimalStrategy(s); tc.noLoad && err == nil {
+				t.Errorf("%s: opt load prints n/a but OptimalStrategy returns no error", tc.spec)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"quorumplace/internal/graph"
+	"quorumplace/internal/obs"
 	"quorumplace/internal/placement"
 	"quorumplace/internal/quorum"
 )
@@ -61,7 +62,8 @@ func newBenchDaemon(b *testing.B) *Daemon {
 // BenchmarkDaemonTick measures one control-loop tick in steady-state repair
 // mode. mode=cold discards the retained LP basis before every tick (every
 // solve rebuilds the tableau and runs phase 1); mode=warm reuses the basis
-// recorded by the previous tick. The CI speedup gate pins warm ≥ 3× cold.
+// recorded by the previous tick. cmd/benchdiff's table holds warm ≥ 3×
+// faster than cold.
 func BenchmarkDaemonTick(b *testing.B) {
 	b.Run("mode=cold", func(b *testing.B) {
 		d := benchDaemon(b)
@@ -109,8 +111,11 @@ func BenchmarkDaemonTick(b *testing.B) {
 // benchDaemon's instance in steady-state repair mode. Set-up observes the
 // given number of epochs, four accesses each, through Observe alone and
 // runs one untimed tick; each timed iteration observes the next epoch and
-// ticks. The heat sketch folds at most its window of epochs per read, so
-// the CI speedup gate holds a tick at 10⁵ epochs to 1.25× one at 10.
+// ticks. A tick's rate read folds at most the heat window of W+1 epochs
+// plus the one it seals, whatever the uptime. folded_epochs/op counts that
+// work exactly: one untimed tick with telemetry on, after set-up and
+// before the timed loop, so it does not depend on b.N. cmd/benchdiff's
+// table gates it.
 func BenchmarkDaemonUptime(b *testing.B) {
 	nodes := make([][]int, 16)
 	for v := range nodes {
@@ -131,14 +136,22 @@ func BenchmarkDaemonUptime(b *testing.B) {
 			if _, err := d.Tick(); err != nil {
 				b.Fatal(err)
 			}
+			c := obs.Enable(nil)
+			observeEpoch(d, epochs)
+			_, err := d.Tick()
+			obs.Disable()
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				observeEpoch(d, epochs+i)
+				observeEpoch(d, epochs+1+i)
 				if _, err := d.Tick(); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(c.Snapshot().Counter("heat.folded_epochs")), "folded_epochs/op")
 		})
 	}
 }

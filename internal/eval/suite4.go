@@ -24,8 +24,9 @@ import (
 // Instance evaluation of the same placement (identically zero up to float
 // association), and on verify rows the aggregated objective is compared
 // against the naive per-client reference evaluator. Wall-clock for the
-// largest row is tracked by BenchmarkTreeDP and gated in CI via benchdiff
-// -max-time; the table reports only machine-independent quantities.
+// largest row is tracked by BenchmarkTreeDP and held under a ceiling in
+// cmd/benchdiff's gate table; the table reports only machine-independent
+// quantities.
 func (s *Suite) E18Scaling() (*Table, error) {
 	t := &Table{
 		ID:       "E18",
@@ -107,7 +108,7 @@ func (s *Suite) E18Scaling() (*Table, error) {
 	t.Notes = append(t.Notes,
 		"aggregation is lossless: the objective is linear in client weight, so raw clients collapse to per-node rates",
 		"vs dense / vs per-client are relative disagreements on cross-checkable rows; '-' marks rows past the dense limit",
-		"wall-clock for the headline configuration is gated by benchdiff -max-time over BenchmarkTreeDP")
+		"wall-clock for the headline configuration is held under the BenchmarkTreeDP ceiling of the perf gate's table (cmd/benchdiff)")
 	return t, nil
 }
 

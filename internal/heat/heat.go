@@ -43,6 +43,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
+
+	"quorumplace/internal/obs"
 )
 
 // Options configures a Sketch.
@@ -277,8 +279,8 @@ func foldEpoch(rates []float64, counts []int64, gap int64, lambda float64) []flo
 // seal folds every cell more than W epochs behind the newest one into the
 // checkpoint, in ascending order, and drops it. It returns the remaining
 // window's epoch indices in ascending order, in scratch the next read
-// reuses. Callers hold s.mu.
-func (s *Sketch) seal() []int64 {
+// reuses, and the number of epochs it sealed. Callers hold s.mu.
+func (s *Sketch) seal() ([]int64, int) {
 	keys := s.keys[:0]
 	for e := range s.epochs {
 		keys = append(keys, e)
@@ -295,7 +297,7 @@ func (s *Sketch) seal() []int64 {
 		n++
 	}
 	if n == 0 {
-		return keys
+		return keys, 0
 	}
 	prev := s.ckpt.last
 	if s.ckpt.epochs == 0 {
@@ -325,14 +327,17 @@ func (s *Sketch) seal() []int64 {
 		keys = slices.Clone(keys)
 		s.keys = keys
 	}
-	return keys
+	return keys, n
 }
 
 // ewma returns EWMA rates as of the newest epoch: base, the matching
 // checkpoint rates, with the window cells at keys folded on in ascending
 // order. pick selects a cell's counter slice. Callers hold s.mu and pass
-// the keys seal returned.
-func (s *Sketch) ewma(keys []int64, base []float64, pick func(*epochCell) []int64) []float64 {
+// the keys and the sealed-epoch count seal returned; ewma counts the read's
+// sealed and window epochs as heat.folded_epochs, the exact work of a rate
+// read, which stays at most W+1 plus the epochs newly sealed.
+func (s *Sketch) ewma(keys []int64, sealed int, base []float64, pick func(*epochCell) []int64) []float64 {
+	obs.Count("heat.folded_epochs", int64(sealed+len(keys)))
 	if len(keys) == 0 {
 		return nil
 	}
@@ -353,8 +358,8 @@ func (s *Sketch) ewma(keys []int64, base []float64, pick func(*epochCell) []int6
 func (s *Sketch) ClientRates() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := s.seal()
-	return s.ewma(keys, s.ckpt.clients, func(c *epochCell) []int64 { return c.clients })
+	keys, sealed := s.seal()
+	return s.ewma(keys, sealed, s.ckpt.clients, func(c *epochCell) []int64 { return c.clients })
 }
 
 // NodeRates returns the per-node EWMA message-rate estimate (messages per
@@ -362,8 +367,8 @@ func (s *Sketch) ClientRates() []float64 {
 func (s *Sketch) NodeRates() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := s.seal()
-	return s.ewma(keys, s.ckpt.nodes, func(c *epochCell) []int64 { return c.nodes })
+	keys, sealed := s.seal()
+	return s.ewma(keys, sealed, s.ckpt.nodes, func(c *epochCell) []int64 { return c.nodes })
 }
 
 // TopEntry is one heavy hitter: a client or node index and its exact

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"quorumplace/internal/obs"
 )
 
 // sortedFold is the unwindowed EWMA fold the sketch ran before it kept a
@@ -186,6 +188,15 @@ func TestWindowBoundsCells(t *testing.T) {
 	}
 	if max, ok := s.MaxEpoch(); !ok || max != epochs-1 {
 		t.Fatalf("MaxEpoch = %d,%v; want %d,true", max, ok, epochs-1)
+	}
+	// One epoch later a read seals one epoch and folds the window onto the
+	// checkpoint: W+2 folds, however long the uptime.
+	c := obs.Enable(obs.NewCollector())
+	s.Observe(epochs+0.5, 0, nil)
+	s.ClientRates()
+	obs.Disable()
+	if got, want := c.Snapshot().Counter("heat.folded_epochs"), s.window+2; got != want {
+		t.Fatalf("a read one epoch later folded %d epochs, want W+2 = %d", got, want)
 	}
 }
 

@@ -9,9 +9,11 @@ import (
 // variable is non-negative (and zero when fixed), every constraint holds
 // within tol scaled by the row's magnitude, and the reported objective
 // matches the cost vector applied to X. It returns the first violation
-// found. The SSQPP LP, the GAP LP and the Naor–Wool strategy LP call this
-// after every solve so a simplex regression surfaces as an explicit
-// invariant failure instead of a silently wrong placement.
+// found. Every LP client calls this after every solve, so a simplex
+// regression surfaces as an explicit invariant failure instead of a
+// silently wrong placement: the SSQPP LP, the GAP LP, the Naor–Wool
+// strategy LP, and the shared and per-client strategy LPs of
+// placement.OptimizeStrategyForPlacement and OptimizePerClientStrategies.
 func (p *Problem) VerifySolution(sol *Solution, tol float64) error {
 	if sol == nil {
 		return fmt.Errorf("lp: verify: no solution")

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"quorumplace/internal/obs"
 	"quorumplace/internal/placement"
 	"quorumplace/internal/quorum"
 )
@@ -181,5 +182,28 @@ func TestPlacementResilience(t *testing.T) {
 	}
 	if rCo != 0 {
 		t.Fatalf("colocated resilience %d, want 0", rCo)
+	}
+}
+
+// TestCrashDrawsPerAccess pins netsim.crash_draws: a failure run peeks the
+// crash state of each hosting node once per access, not of every node and
+// not of every element, at every worker count.
+func TestCrashDrawsPerAccess(t *testing.T) {
+	for name, g := range goldenInstances(t) {
+		hosts := len(hostingNodes(g.pl))
+		for _, workers := range []int{1, 3} {
+			col := obs.Enable(obs.NewCollector())
+			stats, err := RunWithFailures(FailureConfig{Instance: g.ins, Placement: g.pl, Mode: Parallel,
+				NodeFailureProb: 0.3, MaxRetries: 2, AccessesPerClient: 20, Seed: 5, Workers: workers})
+			obs.Disable()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := col.Snapshot().Counter("netsim.crash_draws"), int64(stats.Accesses*hosts)
+			if got != want || hosts >= g.ins.M.N() {
+				t.Errorf("%s workers=%d: %d crash draws, want %d accesses × %d hosts of %d nodes",
+					name, workers, got, stats.Accesses, hosts, g.ins.M.N())
+			}
+		}
 	}
 }

@@ -30,7 +30,8 @@ type propWorker struct {
 	succeeded  int
 	aborted    int
 	retries    int64
-	noLive     int // accesses whose crash state left no quorum alive
+	crashDraws int64 // crash states peeked, one per hosting node per access
+	noLive     int   // accesses whose crash state left no quorum alive
 	messages   int64
 	clock      float64
 	nodeHits   []int64
@@ -126,6 +127,7 @@ func (w *propWorker) flush() {
 	w.sh.Count("netsim.events", w.events)
 	if w.failures {
 		w.sh.Count("netsim.retries", w.retries)
+		w.sh.Count("netsim.crash_draws", w.crashDraws)
 		return
 	}
 	w.sh.Count("netsim.messages", w.messages)
@@ -163,6 +165,7 @@ func (w *propWorker) process(float64) {
 			down := false
 			for _, h := range w.hosts {
 				alive[h] = unitFloat(st.peek(h+1)) >= cfg.NodeFailureProb
+				w.crashDraws++
 				down = down || !alive[h]
 			}
 			st.skip(w.n)

@@ -17,7 +17,7 @@ import (
 // truncation. Run under -race in CI.
 func TestCloseDrainsInflightScrape(t *testing.T) {
 	c := demoCollector()
-	inScrape := make(chan struct{})
+	inScrape := make(chan struct{}, 1) // buffered: the handler may enter before the test waits
 	release := make(chan struct{})
 	src := func() *obs.Snapshot {
 		// Signal that a scrape has entered the handler, then hold it open
@@ -114,7 +114,7 @@ func TestServeContextCancel(t *testing.T) {
 // window is severed rather than hanging Shutdown forever.
 func TestShutdownDeadlineSevers(t *testing.T) {
 	c := demoCollector()
-	inScrape := make(chan struct{})
+	inScrape := make(chan struct{}, 1) // buffered: the handler may enter before the test waits
 	release := make(chan struct{})
 	src := func() *obs.Snapshot {
 		select {

@@ -378,13 +378,6 @@ func Gauge(name string, v float64) {
 	}
 }
 
-// GaugeMax raises a watermark gauge on the active collector.
-func GaugeMax(name string, v float64) {
-	if c := active.Load(); c != nil {
-		c.GaugeMax(name, v)
-	}
-}
-
 // Observe records a histogram sample on the active collector.
 func Observe(name string, v float64) {
 	if c := active.Load(); c != nil {

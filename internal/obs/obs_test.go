@@ -24,7 +24,6 @@ func TestDisabledIsInert(t *testing.T) {
 	sp.End() // must not panic on nil
 	Count("c", 1)
 	Gauge("g", 2)
-	GaugeMax("gm", 3)
 	Observe("h", 4)
 	if Active() != nil {
 		t.Fatal("Active non-nil while disabled")
@@ -285,7 +284,7 @@ func TestConcurrentUse(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				sp := Start("worker")
 				Count("ops", 1)
-				GaugeMax("peak", float64(i))
+				c.GaugeMax("peak", float64(i))
 				Observe("v", float64(i))
 				sp.End()
 			}

@@ -4,13 +4,13 @@ import (
 	"time"
 )
 
-// A Shard is a single-goroutine telemetry buffer: spans, counters, gauges
-// and histograms recorded into a Shard touch no locks and no shared state
-// until Merge folds them into the parent Collector in one batch. Worker
-// pools (the parallel QPP solver, future sharded netsim) give each worker
-// its own Shard so recording is contention-free on the hot path, then merge
-// the shards in worker order after the fan-in barrier, which makes the
-// merged result deterministic:
+// A Shard is a single-goroutine telemetry buffer: spans, counters,
+// watermark gauges and histograms recorded into a Shard touch no locks and
+// no shared state until Merge folds them into the parent Collector in one
+// batch. Worker pools (the parallel QPP solver, future sharded netsim) give
+// each worker its own Shard so recording is contention-free on the hot
+// path, then merge the shards in worker order after the fan-in barrier,
+// which makes the merged result deterministic:
 //
 //	sp := obs.Start("parallel_phase")
 //	shards := make([]*obs.Shard, workers)
@@ -22,7 +22,7 @@ import (
 // Merge remaps shard-local span IDs into a freshly reserved block of
 // collector IDs and re-parents shard-root spans under the shard's parent
 // span, so the merged span tree is exactly what a sequential run under that
-// parent would have produced. Counter, gauge and histogram merges are
+// parent would have produced. Counter, watermark and histogram merges are
 // bucket-exact (see LogHist).
 //
 // A Shard is NOT safe for concurrent use — that is the point: exactly one
@@ -37,7 +37,6 @@ type Shard struct {
 	spans  []SpanRecord
 
 	counters map[string]int64
-	gauges   map[string]float64
 	gaugeMax map[string]float64
 	hists    map[string]*LogHist
 }
@@ -63,7 +62,6 @@ func NewShard(parent *Span) *Shard {
 		c:        c,
 		parent:   pid,
 		counters: make(map[string]int64),
-		gauges:   make(map[string]float64),
 		gaugeMax: make(map[string]float64),
 		hists:    make(map[string]*LogHist),
 	}
@@ -131,16 +129,6 @@ func (sh *Shard) Count(name string, delta int64) {
 	sh.counters[name] += delta
 }
 
-// Gauge sets a shard-local gauge (last write wins; at merge time shards
-// merged later overwrite, so callers merging in worker order get the last
-// worker's value — deterministically).
-func (sh *Shard) Gauge(name string, v float64) {
-	if sh == nil || sh.c == nil {
-		return
-	}
-	sh.gauges[name] = v
-}
-
 // GaugeMax raises a shard-local watermark gauge.
 func (sh *Shard) GaugeMax(name string, v float64) {
 	if sh == nil || sh.c == nil {
@@ -196,9 +184,6 @@ func (sh *Shard) Merge() {
 	}
 	for _, name := range sortedKeys(sh.counters) {
 		c.Count(name, sh.counters[name])
-	}
-	for _, name := range sortedKeys(sh.gauges) {
-		c.Gauge(name, sh.gauges[name])
 	}
 	for _, name := range sortedKeys(sh.gaugeMax) {
 		c.GaugeMax(name, sh.gaugeMax[name])

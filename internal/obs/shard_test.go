@@ -20,7 +20,6 @@ func TestShardNilSafe(t *testing.T) {
 	}
 	sp.End()
 	sh.Count("c", 1)
-	sh.Gauge("g", 1)
 	sh.GaugeMax("gm", 1)
 	sh.Observe("h", 1)
 	sh.Merge()

@@ -76,6 +76,9 @@ func OptimizeStrategyForPlacement(ins *Instance, p Placement) (quorum.Strategy, 
 	if err != nil {
 		return quorum.Strategy{}, 0, fmt.Errorf("placement: strategy optimization LP: %w", err)
 	}
+	if err := prob.VerifySolution(sol, 1e-6); err != nil {
+		return quorum.Strategy{}, 0, fmt.Errorf("placement: strategy optimization LP returned an infeasible point: %w", err)
+	}
 	probs := make([]float64, nQ)
 	for qi := range probs {
 		probs[qi] = sol.X[pv[qi]]
@@ -152,6 +155,9 @@ func OptimizePerClientStrategies(ins *Instance, p Placement) ([]quorum.Strategy,
 	sol, err := prob.Solve()
 	if err != nil {
 		return nil, 0, fmt.Errorf("placement: per-client strategy LP: %w", err)
+	}
+	if err := prob.VerifySolution(sol, 1e-6); err != nil {
+		return nil, 0, fmt.Errorf("placement: per-client strategy LP returned an infeasible point: %w", err)
 	}
 	out := make([]quorum.Strategy, n)
 	for v := 0; v < n; v++ {

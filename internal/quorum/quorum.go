@@ -226,13 +226,36 @@ func (s *System) MaxLoad(st Strategy) (float64, error) {
 	return max, nil
 }
 
+// maxStrategyCells caps the dense simplex tableau of OptimalStrategy: 2^21
+// cells, 16 MiB. grid:30, fpp:29 and wheel:1000 (1.5–2.0 M cells) fit and
+// solved in at most 3.2 s on 2 vCPUs; grid:35 (3.0 M) took 8.6 s and
+// wheel:2000 (8.0 M) 14 s, and star:23000 (1.06 G) ran out of memory.
+const maxStrategyCells = 1 << 21
+
 // OptimalStrategy computes the load-minimizing access strategy of the
 // system (the LP from Naor & Wool, "The load, capacity, and availability of
 // quorum systems"): minimize z subject to Σ_{Q ∋ u} p(Q) ≤ z for all u and
-// Σ_Q p(Q) = 1, p ≥ 0. It returns the strategy and the optimal load.
+// Σ_Q p(Q) = 1, p ≥ 0. It returns the strategy and the optimal load, or an
+// error, before building the LP, when its tableau would pass
+// maxStrategyCells.
 func OptimalStrategy(s *System) (Strategy, float64, error) {
-	prob := lp.NewProblem()
 	m := len(s.quorums)
+	// One row per loaded element plus Σp = 1; columns for p, z, one slack
+	// per element row, one artificial and the rhs.
+	loaded := make([]bool, s.universe)
+	rows := 1
+	for _, q := range s.quorums {
+		for _, u := range q {
+			if !loaded[u] {
+				loaded[u] = true
+				rows++
+			}
+		}
+	}
+	if cells := rows * (m + rows + 2); cells > maxStrategyCells {
+		return Strategy{}, 0, fmt.Errorf("quorum: %s: optimal strategy LP needs %d tableau cells, past maxStrategyCells = %d", s.name, cells, maxStrategyCells)
+	}
+	prob := lp.NewProblem()
 	pv := make([]int, m)
 	for i := range pv {
 		pv[i] = prob.AddVar(0, fmt.Sprintf("p%d", i))

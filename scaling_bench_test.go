@@ -9,10 +9,9 @@ import (
 // Scaling benchmark family (experiment E18): the client dimension must cost
 // only aggregation (linear, tiny constant), never solver work, and the node
 // dimension must ride the exact tree DP instead of the n² metric + LP.
-// scripts/check.sh gates these through benchdiff: clients=10⁶ within 2× of
-// clients=10⁴ at fixed topology (-speedup 0.5), the 10⁵-node/10⁶-client
-// pipeline under an absolute wall-clock ceiling (-max-time), and the metric
-// builder's allocs/op pinned against the committed snapshot.
+// cmd/benchdiff's table gates these: a ratio holds clients=10⁶ against
+// clients=10⁴ at fixed topology, a ceiling the 10⁵-node/10⁶-client
+// pipeline, and the allocs band the metric builder.
 
 // scalingClients draws a deterministic client population with integer
 // weights over n nodes.
@@ -61,9 +60,9 @@ func BenchmarkScalingClients(b *testing.B) {
 
 // BenchmarkMetricBuild pins the allocation profile of the parallel dense
 // metric builder. The failure mode it guards is per-row workspace churn
-// (one heap/visited allocation per source = O(n) allocs); the benchdiff
-// gate allows a small band for the O(workers) per-run allocations, which
-// legitimately vary with GOMAXPROCS.
+// (one heap/visited allocation per source = O(n) allocs); the allocs band
+// in cmd/benchdiff's table absorbs the O(workers) per-run allocations,
+// which legitimately vary with GOMAXPROCS.
 func BenchmarkMetricBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	g := RandomGeometric(1000, 0.08, rng)
@@ -79,8 +78,8 @@ func BenchmarkMetricBuild(b *testing.B) {
 // BenchmarkTreeDP is the headline scaling run: a 10⁵-node tree with 10⁶
 // aggregated clients through the full pipeline (aggregation, rate-weighted
 // candidate selection, exact per-source subset DP, exact objective
-// evaluation). The benchdiff -max-time gate holds it under the 10-second
-// promise.
+// evaluation). A ceiling in cmd/benchdiff's table holds it to the
+// 10-second promise.
 func BenchmarkTreeDP(b *testing.B) {
 	const n, k = 100_000, 1_000_000
 	rng := rand.New(rand.NewSource(13))
