@@ -639,6 +639,56 @@ func BenchmarkParallelQPP(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanDPQPP runs the sequential Theorem 1.2 solver, SolveQPP(ins,
+// 2), on the shape of the plan workload's exact-DP system: Majority(9,5)
+// over a 128-node random-geometric WAN (radius 0.2, seed 29) with unit
+// capacities, so each node holds one element, and client rates skewed
+// toward low node ids. Every source's SSQPP takes the treedp route. It
+// reports the DP's transition pairs (treedp.dp_ops) and the exact
+// AvgMaxDelay scorings of the sweep (placement.delay_evals) per op, both
+// counted in one untimed telemetry-on solve before the timed loop, so they
+// are exact and do not depend on b.N; cmd/benchdiff's table gates both.
+func BenchmarkPlanDPQPP(b *testing.B) {
+	const n = 128
+	rng := rand.New(rand.NewSource(29))
+	m, err := BuildMetric(RandomGeometric(n, 0.2, rng))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys := Majority(9, 5)
+	caps := make([]float64, n)
+	rates := make([]float64, n)
+	for v := range caps {
+		caps[v] = 1
+	}
+	for i := 0; i < 10_000; i++ {
+		u := rng.Float64()
+		rates[int(u*u*n)] += float64(1 + rng.Intn(4))
+	}
+	ins, err := NewInstance(m, caps, sys, Uniform(sys.NumQuorums()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ins.SetRates(rates); err != nil {
+		b.Fatal(err)
+	}
+	c := EnableTelemetry()
+	_, err = SolveQPP(ins, 2)
+	DisableTelemetry()
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := c.Snapshot()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SolveQPP(ins, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(snap.Counter("treedp.dp_ops")), "dp_ops/op")
+	b.ReportMetric(float64(snap.Counter("placement.delay_evals")), "evals/op")
+}
+
 // BenchmarkWANReplicaQPP runs the sequential Theorem 1.2 solver,
 // SolveQPP(ins, 2), on the instance examples/wanreplica builds: Grid(3)
 // over a 40-host random-geometric WAN (radius 0.3, seed 7) whose hosts

@@ -63,11 +63,15 @@ var table = []gate{
 	{metric: "p999_delay", band: 0.02,
 		why: "as p99_delay"},
 	{metric: "pivots_per_op",
-		why: "simplex pivots of the SSQPP LP (9)-(14) behind Theorem 1.2 (E1, E4, ParallelQPP): exact and machine-independent"},
+		why: "simplex pivots of the SSQPP LP (9)-(14) behind Theorem 1.2 (E1, E4, ParallelQPP) and of a daemon tick's shard LP, cold and warm (DaemonTick): exact and machine-independent"},
 	{metric: "elim_per_op",
 		why: "elimination updates of those pivots (lp.elim_updates), the simplex's exact arithmetic work"},
 	{metric: "augments_per_op",
 		why: "augmentations of the Shmoys-Tardos rounding flow in E1"},
+	{metric: "dp_ops_per_op",
+		why: "transition pairs the treedp subset DP visits (treedp.dp_ops) in TreeDP's tree pipeline and PlanDPQPP's 128-source sweep: the DP's exact work, machine-independent"},
+	{metric: "evals_per_op",
+		why: "exact AvgMaxDelay scorings (placement.delay_evals) in PlanDPQPP's sequential sweep: only candidates whose rank-walk bound does not exceed the incumbent are scored"},
 	{metric: "folded_epochs_per_op",
 		why: "epochs a daemon tick's heat rate read folds: the W+1 window plus the epochs it seals, the same at 10^3 and 10^5 epochs of uptime; replaces a DaemonUptime epochs=10/epochs=100000 wall-clock ratio that read 0.71x-1.46x on noise"},
 	{metric: "crash_draws_per_op",

@@ -63,13 +63,20 @@ func newBenchDaemon(b *testing.B) *Daemon {
 // mode. mode=cold discards the retained LP basis before every tick (every
 // solve rebuilds the tableau and runs phase 1); mode=warm reuses the basis
 // recorded by the previous tick. cmd/benchdiff's table holds warm ≥ 3×
-// faster than cold.
+// faster than cold. Each mode reports its tick's simplex pivots
+// (lp.pivots), counted in one untimed telemetry-on tick before the timed
+// loop, so the count is exact and does not depend on b.N; the table gates
+// it.
 func BenchmarkDaemonTick(b *testing.B) {
 	b.Run("mode=cold", func(b *testing.B) {
 		d := benchDaemon(b)
 		if _, err := d.Tick(); err != nil {
 			b.Fatal(err)
 		}
+		pivots := tickPivots(b, func() (TickRecord, error) {
+			d.ResetWarm()
+			return d.Tick()
+		})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			d.ResetWarm()
@@ -77,6 +84,7 @@ func BenchmarkDaemonTick(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(pivots), "pivots/op")
 	})
 	b.Run("mode=warm", func(b *testing.B) {
 		d := benchDaemon(b)
@@ -94,17 +102,35 @@ func BenchmarkDaemonTick(b *testing.B) {
 		if !warmed {
 			b.Fatal("daemon never reached a warm steady state")
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		tick := func() (TickRecord, error) {
 			rec, err := d.Tick()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !rec.Warm {
+			if err == nil && !rec.Warm {
 				b.Fatal("steady-state tick fell back to cold")
 			}
+			return rec, err
 		}
+		pivots := tickPivots(b, tick)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := tick(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(pivots), "pivots/op")
 	})
+}
+
+// tickPivots runs tick once with telemetry on and returns its simplex
+// pivots.
+func tickPivots(b *testing.B, tick func() (TickRecord, error)) int64 {
+	b.Helper()
+	c := obs.Enable(nil)
+	_, err := tick()
+	obs.Disable()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c.Snapshot().Counter("lp.pivots")
 }
 
 // BenchmarkDaemonUptime measures one tick after a long uptime, on

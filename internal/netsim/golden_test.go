@@ -120,7 +120,7 @@ func TestSimulatorOutputGolden(t *testing.T) {
 			prev := obs.Active()
 			col := obs.Enable(obs.NewCollector())
 			stats, err := c.run(rec, ht)
-			obs.Enable(prev)
+			restoreTelemetry(prev)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}

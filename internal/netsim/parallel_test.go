@@ -51,7 +51,7 @@ func runWithTelemetry(t *testing.T, body func(rec *Recorder, ht *heat.Sketch) in
 	ht := heat.New(heat.Options{EpochLen: 1, HalfLife: 4})
 	prev := obs.Active()
 	col := obs.Enable(obs.NewCollector())
-	defer obs.Enable(prev)
+	defer restoreTelemetry(prev)
 	stats := body(rec, ht)
 	snap := col.Snapshot()
 	counters := make(map[string]int64)
@@ -187,7 +187,7 @@ func TestShardedQueueingWindowedPathEngaged(t *testing.T) {
 	ins, p := buildInstance(t)
 	prev := obs.Active()
 	col := obs.Enable(obs.NewCollector())
-	defer obs.Enable(prev)
+	defer restoreTelemetry(prev)
 	_, err := RunQueueing(QueueConfig{
 		Instance: ins, Placement: p,
 		ArrivalRate: 0.8, ServiceMean: 0.2,

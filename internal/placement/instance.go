@@ -26,6 +26,7 @@ import (
 
 	"quorumplace/internal/graph"
 	"quorumplace/internal/quorum"
+	"quorumplace/internal/treedp"
 )
 
 // capTol absorbs floating-point noise in capacity comparisons: a node may
@@ -278,6 +279,53 @@ func (ins *Instance) avgOverClients(g func(v int) float64) float64 {
 // weighted by client rates when set.
 func (ins *Instance) AvgMaxDelay(p Placement) float64 {
 	return ins.avgOverClients(func(v int) float64 { return ins.MaxDelayFrom(v, p) })
+}
+
+// delaySlack scales the slack of delayBound: 1e-9 of the clients' average
+// farthest-element distance. The rank walk and AvgMaxDelay add the same
+// non-negative terms in different orders; their rounding differs by a few
+// ulps per quorum, per zeta-transform level and per client of that
+// distance, under 1e-10 of it for any instance whose n×n metric fits in
+// memory.
+const delaySlack = 1e-9
+
+// delayBound returns AvgMaxDelay(p) computed by a rank walk over mass, the
+// subset-mass table of the instance's system and strategy
+// (treedp.SubsetMass), and a slack with walk − slack ≤ AvgMaxDelay(p) ≤
+// walk + slack despite rounding. For client v, let S_k hold the k elements
+// nearest to v under f: a quorum's farthest element is the k-th exactly
+// when the quorum lies in S_k but not in S_(k−1), so
+// Δ_f(v) = Σ_k d_(k)·(mass(S_k) − mass(S_(k−1))), in O(U log U) per client
+// instead of a pass over every quorum.
+func (ins *Instance) delayBound(p Placement, mass []float64) (walk, slack float64) {
+	nU := len(p.f)
+	var d [treedp.MaxUniverse]float64
+	var el [treedp.MaxUniverse]int
+	sum, far, wsum := 0.0, 0.0, 0.0
+	for v := 0; v < ins.M.N(); v++ {
+		row := ins.M.Row(v)
+		for u, node := range p.f { // insertion sort by distance from v
+			du, k := row[node], u
+			for ; k > 0 && d[k-1] > du; k-- {
+				d[k], el[k] = d[k-1], el[k-1]
+			}
+			d[k], el[k] = du, u
+		}
+		val, S, prev := 0.0, 0, mass[0]
+		for k, u := range el[:nU] {
+			S |= 1 << u
+			val += d[k] * (mass[S] - prev)
+			prev = mass[S]
+		}
+		w := 1.0
+		if ins.Rates != nil {
+			w = ins.Rates[v]
+		}
+		sum += w * val
+		far += w * d[nU-1]
+		wsum += w
+	}
+	return sum / wsum, delaySlack * far / wsum
 }
 
 // AvgTotalDelay returns Avg_{v∈V} Γ_f(v), the §5 objective.

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"quorumplace/internal/obs"
+	"quorumplace/internal/treedp"
 )
 
 // The QPP reduction runs one independent SSQPP pipeline per candidate
@@ -28,9 +29,11 @@ import (
 //     basis; every run starts cold. The runs depend on the instance alone,
 //     so each source's warm history — and hence its LP solution — is the
 //     same at every worker count, including the sequential walk;
-//  3. reduce — each worker folds its sources into a private qppPartial
-//     (including the AvgMaxDelay evaluation of each candidate placement),
-//     and the partials are merged deterministically at the end.
+//  3. reduce — each worker folds its sources into a private qppPartial,
+//     and the partials are merged deterministically at the end. A partial
+//     scores a candidate with the exact AvgMaxDelay only when the
+//     candidate's lower bound (delayBound) does not exceed its incumbent,
+//     since only the best candidate survives.
 //
 // The reduction rule — best average max-delay wins, exact ties broken by
 // the smaller source id — is associative and commutative, so the merge
@@ -67,7 +70,13 @@ func (ins *Instance) sourceRuns() (runLen, runs int) {
 // average wins, an equal average keeps the smaller source id, the relay
 // bound is a min, the LP bound a max, and the surviving error is the one
 // from the smallest failing source.
+//
+// A candidate whose delayBound exceeds the incumbent's average is strictly
+// worse than the incumbent, so it could neither win nor tie and is dropped
+// unscored; every other candidate is scored exactly. The winner, its
+// average and its tie-break are therefore those of scoring every source.
 type qppPartial struct {
+	mass  []float64 // subset-mass table for delayBound; nil scores every candidate
 	res   *SSQPPResult
 	avg   float64
 	v0    int
@@ -75,9 +84,10 @@ type qppPartial struct {
 	maxLP float64
 	err   error
 	errV0 int
+	evals int64 // exact AvgMaxDelay scorings
 }
 
-func (p *qppPartial) init() { p.relay = math.Inf(1) }
+func (p *qppPartial) init(mass []float64) { p.mass, p.relay = mass, math.Inf(1) }
 
 func (p *qppPartial) add(ins *Instance, alpha float64, v0 int, res *SSQPPResult, err error) {
 	if err != nil {
@@ -92,6 +102,12 @@ func (p *qppPartial) add(ins *Instance, alpha float64, v0 int, res *SSQPPResult,
 	if res.LPBound > p.maxLP {
 		p.maxLP = res.LPBound
 	}
+	if p.res != nil && p.mass != nil {
+		if walk, slack := ins.delayBound(res.Placement, p.mass); walk-slack > p.avg {
+			return
+		}
+	}
+	p.evals++
 	avg := ins.AvgMaxDelay(res.Placement)
 	if p.res == nil || avg < p.avg || (avg == p.avg && v0 < p.v0) {
 		p.res, p.avg, p.v0 = res, avg, v0
@@ -99,6 +115,7 @@ func (p *qppPartial) add(ins *Instance, alpha float64, v0 int, res *SSQPPResult,
 }
 
 func (p *qppPartial) merge(q *qppPartial) {
+	p.evals += q.evals
 	if q.err != nil && (p.err == nil || q.errV0 < p.errV0) {
 		p.err, p.errV0 = q.err, q.errV0
 	}
@@ -126,9 +143,14 @@ func solveQPP(ins *Instance, alpha float64, workers int, parent *obs.Span) (*QPP
 	}
 	obs.Count("placement.qpp_sources", int64(n))
 
+	// One subset-mass table per sweep serves every candidate's delayBound.
+	var mass []float64
+	if ins.Sys.Universe() <= treedp.MaxUniverse {
+		mass = treedp.SubsetMass(ins.Sys, ins.Strat)
+	}
 	runLen, runs := ins.sourceRuns()
 	var total qppPartial
-	total.init()
+	total.init(mass)
 	if workers <= 1 {
 		// Each solver owns re-costable skeleton clones, an LP workspace and
 		// a rounding-flow workspace, all reused across the sources it
@@ -151,7 +173,7 @@ func solveQPP(ins *Instance, alpha float64, workers int, parent *obs.Span) (*QPP
 			shards[w] = obs.NewShard(parent)
 			go func(p *qppPartial, sh *obs.Shard) {
 				defer wg.Done()
-				p.init()
+				p.init(mass)
 				wsp := sh.Start("placement.qpp_worker")
 				defer wsp.End()
 				sv := newSSQPPSolver(ins)
@@ -174,6 +196,7 @@ func solveQPP(ins *Instance, alpha float64, workers int, parent *obs.Span) (*QPP
 		}
 	}
 
+	obs.Count("placement.delay_evals", total.evals)
 	if total.res == nil {
 		return nil, fmt.Errorf("placement: SSQPP failed for every source: %w", total.err)
 	}

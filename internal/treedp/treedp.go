@@ -32,9 +32,11 @@ const (
 	MaxUniverse = 16
 
 	// DefaultOpsBudget bounds the transition pairs one solve may examine
-	// before aborting with ErrBudget. The early cut below usually stops the
-	// scan after the nearest feasible ranks, so real solves come nowhere
-	// near it; the budget is a guard against adversarial capacity profiles.
+	// (treedp.dp_ops: one per fitting subset and state disjoint from it
+	// inside the reachable elements) before aborting with ErrBudget. The
+	// early cut below usually stops the scan after the nearest feasible
+	// ranks, so real solves come nowhere near it; the budget is a guard
+	// against adversarial capacity profiles.
 	DefaultOpsBudget = int64(1) << 29
 
 	// capTol mirrors the placement package's capacity tolerance so DP
@@ -69,11 +71,13 @@ type chain struct {
 // subset A on the current node completes the quorums inside S∪A that were
 // incomplete in S, each paying its probability times the current distance —
 // exactly the objective, since a quorum's max delay is the distance of its
-// farthest (latest-scanned) element. Updates are buffered per node so two
-// subsets can never stack onto the same node, and the scan stops as soon as
-// no remaining node can beat the best complete placement: any future
-// completion pays at least dp[S] + (P(all) − P(S))·d_t through some current
-// state S.
+// farthest (latest-scanned) element. Only subsets within the node's capacity
+// are relaxed, each against the finite states disjoint from it, so a node
+// that admits single elements only costs U·2^(U−1) pairs instead of 3^U.
+// Updates are buffered per node so two subsets can never stack onto the
+// same node, and the scan stops as soon as no remaining node can beat the
+// best complete placement: any future completion pays at least
+// dp[S] + (P(all) − P(S))·d_t through some current state S.
 func SolveSSQPP(dist, caps, loads []float64, sys *quorum.System, strat quorum.Strategy) ([]int, float64, error) {
 	return solveSSQPP(dist, caps, loads, sys, strat, DefaultOpsBudget)
 }
@@ -102,24 +106,8 @@ func solveSSQPP(dist, caps, loads []float64, sys *quorum.System, strat quorum.St
 	size := 1 << nU
 	full := size - 1
 
-	// probOf[m] = Σ p(Q) over quorums Q ⊆ m, via the subset-sum zeta
-	// transform; loadOf[m] = Σ_{u∈m} loads[u].
-	probOf := make([]float64, size)
-	for q := 0; q < sys.NumQuorums(); q++ {
-		mask := 0
-		for _, u := range sys.Quorum(q) {
-			mask |= 1 << u
-		}
-		probOf[mask] += strat.P(q)
-	}
-	for b := 0; b < nU; b++ {
-		bit := 1 << b
-		for m := 0; m < size; m++ {
-			if m&bit != 0 {
-				probOf[m] += probOf[m^bit]
-			}
-		}
-	}
+	// probOf[m] = Σ p(Q) over quorums Q ⊆ m; loadOf[m] = Σ_{u∈m} loads[u].
+	probOf := SubsetMass(sys, strat)
 	fullP := probOf[full]
 	loadOf := make([]float64, size)
 	for m := 1; m < size; m++ {
@@ -178,21 +166,34 @@ func solveSSQPP(dist, caps, loads []float64, sys *quorum.System, strat quorum.St
 		limit := caps[v]*(1+capTol) + capTol
 		copy(next, dp)
 		copy(nextTrace, trace)
-		for S := 0; S < size; S++ {
-			base := dp[S]
-			if math.IsInf(base, 1) {
+		// Subset-major relaxation: each subset A that fits this node, in
+		// descending order, extends every finite state S disjoint from it.
+		// Every finite state lies inside reach, so S ranges over the
+		// submasks of reach \ A. A target T = S|A meets its candidates in
+		// descending A = T \ S, which is ascending S, so ties resolve as in
+		// a state-major scan.
+		reach := 0
+		for S, c := range dp {
+			if !math.IsInf(c, 1) {
+				reach |= S
+			}
+		}
+		for A := full; A != 0; A-- {
+			if loadOf[A] > limit {
 				continue
 			}
-			comp := full &^ S
-			for A := comp; A != 0; A = (A - 1) & comp {
+			free := reach &^ A
+			for S := free; ; S = (S - 1) & free {
 				ops++
-				if loadOf[A] > limit {
-					continue
+				if base := dp[S]; !math.IsInf(base, 1) {
+					nS := S | A
+					if c := base + (probOf[nS]-probOf[S])*dt; c < next[nS] {
+						next[nS] = c
+						nextTrace[nS] = &chain{prev: trace[S], node: int32(v), subset: uint32(A)}
+					}
 				}
-				nS := S | A
-				if c := base + (probOf[nS]-probOf[S])*dt; c < next[nS] {
-					next[nS] = c
-					nextTrace[nS] = &chain{prev: trace[S], node: int32(v), subset: uint32(A)}
+				if S == 0 {
+					break
 				}
 			}
 		}
@@ -215,6 +216,32 @@ func solveSSQPP(dist, caps, loads []float64, sys *quorum.System, strat quorum.St
 		}
 	}
 	return f, dp[full], nil
+}
+
+// SubsetMass returns the subset-mass table of sys under strat: mass[m] =
+// Σ p(Q) over the quorums Q ⊆ m, for every mask m over the universe, by the
+// subset-sum zeta transform in O(U·2^U). The universe must be at most
+// MaxUniverse. The QPP sweep scores placements from the same table.
+func SubsetMass(sys *quorum.System, strat quorum.Strategy) []float64 {
+	nU := sys.Universe()
+	size := 1 << nU
+	mass := make([]float64, size)
+	for q := 0; q < sys.NumQuorums(); q++ {
+		mask := 0
+		for _, u := range sys.Quorum(q) {
+			mask |= 1 << u
+		}
+		mass[mask] += strat.P(q)
+	}
+	for b := 0; b < nU; b++ {
+		bit := 1 << b
+		for m := 0; m < size; m++ {
+			if m&bit != 0 {
+				mass[m] += mass[m^bit]
+			}
+		}
+	}
+	return mass
 }
 
 // EstimatedOps returns the worst-case transition count n·3^U of a solve, the

@@ -79,7 +79,10 @@ func BenchmarkMetricBuild(b *testing.B) {
 // aggregated clients through the full pipeline (aggregation, rate-weighted
 // candidate selection, exact per-source subset DP, exact objective
 // evaluation). A ceiling in cmd/benchdiff's table holds it to the
-// 10-second promise.
+// 10-second promise. It reports the DP's transition pairs per op
+// (treedp.dp_ops), counted in one untimed telemetry-on run of the pipeline
+// before the sub-benchmark, so the count is exact and does not depend on
+// b.N; the table gates it.
 func BenchmarkTreeDP(b *testing.B) {
 	const n, k = 100_000, 1_000_000
 	rng := rand.New(rand.NewSource(13))
@@ -91,19 +94,27 @@ func BenchmarkTreeDP(b *testing.B) {
 		caps[i] = 0.7
 	}
 	clients := scalingClients(rng, n, k)
+	pipeline := func(b *testing.B) {
+		d := NewDemand(n)
+		if err := d.AddClients(clients); err != nil {
+			b.Fatal(err)
+		}
+		res, err := SolveQPPTree(g, caps, sys, strat, d.Rates())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.AvgMaxDelay <= 0 {
+			b.Fatal("degenerate objective")
+		}
+	}
+	c := EnableTelemetry()
+	pipeline(b)
+	DisableTelemetry()
+	dpOps := c.Snapshot().Counter("treedp.dp_ops")
 	b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			d := NewDemand(n)
-			if err := d.AddClients(clients); err != nil {
-				b.Fatal(err)
-			}
-			res, err := SolveQPPTree(g, caps, sys, strat, d.Rates())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.AvgMaxDelay <= 0 {
-				b.Fatal("degenerate objective")
-			}
+			pipeline(b)
 		}
+		b.ReportMetric(float64(dpOps), "dp_ops/op")
 	})
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Benchmark harness: runs the experiment benchmarks (E1-E16), the ablation
-# benchmarks and the LP, telemetry, heat and daemon micro-benchmarks at a
-# 0.05s benchtime, and writes the parsed results as JSON to OUT.
+# benchmarks, the plan-shaped DP-route QPP sweep and the LP, telemetry, heat
+# and daemon micro-benchmarks at a 0.05s benchtime, and writes the parsed
+# results as JSON to OUT.
 # scripts/check.sh runs it and gates the result against the one committed
 # BENCH_*.json snapshot with cmd/benchdiff, whose table holds every band.
 #
@@ -12,9 +13,10 @@
 #
 # Every benchmark line is recorded with its iteration count, ns/op,
 # B/op, allocs/op and any custom metrics the benchmark reports
-# (pivots/op, augments/op, events/sec, ...), and the snapshot records the
-# run's GOMAXPROCS, which a ratio's CPU floor in cmd/benchdiff reads. A
-# benchmark that fails makes the script exit nonzero without writing OUT.
+# (pivots/op, dp_ops/op, evals/op, events/sec, ...), and the snapshot
+# records the run's GOMAXPROCS, which a ratio's CPU floor in cmd/benchdiff
+# reads. A benchmark that fails makes the script exit nonzero without
+# writing OUT.
 set -eu
 
 if [ "$#" -ne 1 ]; then
@@ -23,7 +25,7 @@ if [ "$#" -ne 1 ]; then
 fi
 OUT=$1
 BENCHTIME=0.05s
-PATTERN='^(BenchmarkE[0-9]|BenchmarkAblation|BenchmarkTelemetryOverhead|BenchmarkParallel|BenchmarkSolve|BenchmarkWorkspace|BenchmarkShard|BenchmarkLogHist|BenchmarkScalingClients|BenchmarkMetricBuild|BenchmarkTreeDP|BenchmarkHeat|BenchmarkDrift|BenchmarkDaemon)'
+PATTERN='^(BenchmarkE[0-9]|BenchmarkAblation|BenchmarkTelemetryOverhead|BenchmarkParallel|BenchmarkPlanDP|BenchmarkSolve|BenchmarkWorkspace|BenchmarkShard|BenchmarkLogHist|BenchmarkScalingClients|BenchmarkMetricBuild|BenchmarkTreeDP|BenchmarkHeat|BenchmarkDrift|BenchmarkDaemon)'
 COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
 raw=$(mktemp)
