@@ -17,24 +17,21 @@ import (
 // on instance shape, never on the source, so sequential and parallel QPP
 // sweeps take the same path for every source and stay bit-identical.
 
-const (
-	// exactDPMinNodes keeps small instances on the LP pipeline, whose
-	// behavior (LP bounds, integrality gaps, rounding loads) the existing
-	// test and evaluation surface pins.
-	exactDPMinNodes = 64
-	// exactDPOpsBudget bounds the estimated worst-case DP transitions
-	// n·3^U accepted by the auto gate.
-	exactDPOpsBudget = float64(1 << 29)
-)
+// exactDPMinNodes keeps small instances on the LP pipeline, whose behavior
+// (LP bounds, integrality gaps, rounding loads) the existing test and
+// evaluation surface pins.
+const exactDPMinNodes = 64
 
 // exactDPAuto reports whether solve() should route this instance through
-// the exact DP instead of the LP pipeline.
+// the exact DP instead of the LP pipeline. It admits only instances whose
+// worst-case transition count n·3^U is within the DP's own budget, so a
+// solve on this route cannot exhaust it.
 func (ins *Instance) exactDPAuto() bool {
 	n := ins.M.N()
 	if n < exactDPMinNodes || ins.Sys.Universe() > treedp.MaxUniverse {
 		return false
 	}
-	return treedp.EstimatedOps(n, ins.Sys.Universe()) <= exactDPOpsBudget
+	return treedp.EstimatedOps(n, ins.Sys.Universe()) <= float64(treedp.DefaultOpsBudget)
 }
 
 // SolveSSQPPExact solves the single-source problem to optimality with the
@@ -53,16 +50,16 @@ func SolveSSQPPExact(ins *Instance, v0 int, alpha float64) (*SSQPPResult, error)
 	if v0 < 0 || v0 >= ins.M.N() {
 		return nil, fmt.Errorf("placement: source %d out of range [0,%d)", v0, ins.M.N())
 	}
-	return solveSSQPPExactDP(ins, v0, alpha, obs.Rec{})
+	return solveSSQPPExactDP(ins, v0, alpha, obs.Rec{}, treedp.SubsetMass(ins.Sys, ins.Strat))
 }
 
-// solveSSQPPExactDP runs the DP for one source and packages the result.
-// rec routes telemetry: ambient for one-shot calls, a worker shard inside
-// the parallel QPP sweep.
-func solveSSQPPExactDP(ins *Instance, v0 int, alpha float64, rec obs.Rec) (*SSQPPResult, error) {
+// solveSSQPPExactDP runs the DP for one source against the subset-mass
+// table mass and packages the result. rec routes telemetry: ambient for
+// one-shot calls, a worker shard inside the QPP sweep.
+func solveSSQPPExactDP(ins *Instance, v0 int, alpha float64, rec obs.Rec, mass []float64) (*SSQPPResult, error) {
 	sp := rec.Start("placement.ssqpp_exact")
 	defer sp.End()
-	f, obj, err := treedp.SolveSSQPP(ins.M.Row(v0), ins.Cap, ins.loads, ins.Sys, ins.Strat)
+	f, obj, err := treedp.SolveSSQPP(rec, ins.M.Row(v0), ins.Cap, ins.loads, mass)
 	if err != nil {
 		return nil, fmt.Errorf("placement: exact SSQPP for v0=%d: %w", v0, err)
 	}

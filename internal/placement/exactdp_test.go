@@ -4,9 +4,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"quorumplace/internal/graph"
+	"quorumplace/internal/obs"
 	"quorumplace/internal/quorum"
 	"quorumplace/internal/treedp"
 )
@@ -45,8 +47,9 @@ func TestExactDPAutoGate(t *testing.T) {
 		t.Fatal("instances below the node floor must stay on the LP pipeline")
 	}
 
-	// A 16-element universe clears the treedp hard limit but not the ops
-	// budget at gate-eligible sizes: n·3^16 > exactDPOpsBudget for n ≥ 64.
+	// A 16-element universe clears the treedp hard limit but not the DP's
+	// ops budget at gate-eligible sizes: n·3^16 > DefaultOpsBudget for
+	// n ≥ 64.
 	wide := make([]int, treedp.MaxUniverse)
 	for i := range wide {
 		wide[i] = i
@@ -69,7 +72,7 @@ func TestExactDPAutoGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ins.exactDPAuto() {
-		t.Fatalf("estimated ops %v exceed the budget %v; gate must reject", treedp.EstimatedOps(exactDPMinNodes, treedp.MaxUniverse), exactDPOpsBudget)
+		t.Fatalf("estimated ops %v exceed the budget %v; gate must reject", treedp.EstimatedOps(exactDPMinNodes, treedp.MaxUniverse), treedp.DefaultOpsBudget)
 	}
 }
 
@@ -123,7 +126,7 @@ func TestAutoSSQPPMatchesExactAtScale(t *testing.T) {
 			if seed != 1 || v0 != 0 {
 				continue
 			}
-			sv := newSSQPPSolver(ins)
+			sv := newSSQPPSolver(ins, obs.Rec{})
 			frac, err := sv.solveLP(v0)
 			if err != nil {
 				t.Fatalf("seed %d v0=%d: LP: %v", seed, v0, err)
@@ -180,7 +183,61 @@ func TestQPPParallelExactDPBuildsNoLPModel(t *testing.T) {
 	if _, err := SolveQPPParallel(ins, 2, 3); err != nil {
 		t.Fatal(err)
 	}
-	if m := ins.models.Load(); m != nil && len(*m) > 0 {
-		t.Fatalf("DP-routed sweep built %d LP skeleton(s)", len(*m))
+	if len(ins.models) > 0 {
+		t.Fatalf("DP-routed sweep built %d LP skeleton(s)", len(ins.models))
+	}
+}
+
+// On a never-solved instance, every span of a parallel sweep except its
+// root must sit under a worker: the exact DP records through the worker's
+// shard, and so does the first solve of a class count, which builds the LP
+// skeleton. The instances are fresh so that no skeleton is cached yet.
+func TestParallelSpansStayUnderWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(823))
+	m, err := graph.NewMetricFromGraph(graph.RandomGeometric(14, 0.4, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := quorum.Grid(3)
+	caps := make([]float64, m.N())
+	for v := range caps {
+		caps[v] = 1
+	}
+	lpIns, err := NewInstance(m, caps, grid, quorum.Uniform(grid.NumQuorums()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const root = "placement.qpp_parallel"
+	const worker = root + "/placement.qpp_worker"
+	for _, c := range []struct {
+		name string
+		ins  *Instance
+		span string // a span that must nest under a worker
+	}{
+		{"DP route", bigTreeInstance(t, 70, 9), "treedp.ssqpp"},
+		{"LP route", lpIns, "ssqpp.model_build"},
+	} {
+		col := obs.Enable(nil)
+		_, err := SolveQPPParallel(c.ins, 2, 2)
+		obs.Disable()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		escaped := map[string]int{}
+		nested := 0
+		for _, p := range col.Snapshot().SpanPaths() {
+			if p != root && p != worker && !strings.HasPrefix(p, worker+"/") {
+				escaped[p]++
+			}
+			if strings.HasPrefix(p, worker+"/") && strings.HasSuffix(p, "/"+c.span) {
+				nested++
+			}
+		}
+		if len(escaped) > 0 {
+			t.Fatalf("%s: spans outside every worker: %v", c.name, escaped)
+		}
+		if nested == 0 {
+			t.Fatalf("%s: no %s span under a worker", c.name, c.span)
+		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"quorumplace/internal/graph"
 	"quorumplace/internal/quorum"
@@ -53,10 +52,9 @@ type Instance struct {
 	// Lazily built SSQPP LP skeletons, one per distance-class count (see
 	// ssqppmodel.go). Builds depend only on construction-time state plus the
 	// class count, so the cache is shared by every source and every
-	// concurrent solve. Readers load the immutable map through the atomic
-	// pointer without locking; writers clone-and-swap under modelMu.
+	// concurrent solve; a solver looks each class count up once.
 	modelMu sync.Mutex
-	models  atomic.Pointer[map[int]*ssqppModel]
+	models  map[int]*ssqppModel
 }
 
 // NewInstance validates the inputs and caches the element loads.
@@ -76,7 +74,7 @@ func NewInstance(m *graph.Metric, cap []float64, sys *quorum.System, strat quoru
 	if err != nil {
 		return nil, fmt.Errorf("placement: %w", err)
 	}
-	return &Instance{M: m, Cap: cap, Sys: sys, Strat: strat, loads: loads}, nil
+	return &Instance{M: m, Cap: cap, Sys: sys, Strat: strat, loads: loads, models: make(map[int]*ssqppModel)}, nil
 }
 
 // SetRates installs per-client access rates (the §6 extension). Rates must

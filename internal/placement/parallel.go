@@ -13,23 +13,20 @@ import (
 
 // The QPP reduction runs one independent SSQPP pipeline per candidate
 // source; the pipelines share nothing mutable beyond the instance's cached
-// LP skeletons (read lock-free once pre-built), so they parallelize
-// perfectly. solveQPP is the single implementation behind SolveQPP
-// (workers = 1, run inline) and SolveQPPParallel (bounded worker pool).
+// LP skeletons, so they parallelize perfectly. solveQPP is the single
+// implementation behind SolveQPP (one worker) and SolveQPPParallel (a
+// bounded worker pool), in two steps:
 //
-// The parallel path is shaped to keep workers off shared state:
-//
-//  1. prebuild — on the LP route, every skeleton class count the sources
-//     induce is built up-front, so workers only ever take the lock-free read
-//     path of the model cache and never serialize on Instance.modelMu (the
-//     exact-DP route skips it: a source the DP fails on builds lazily);
-//  2. fan-out — sources are cut into fixed runs (sourceRuns), and workers
+//  1. fan-out — sources are cut into fixed runs (sourceRuns), and workers
 //     claim whole runs off one atomic counter. One solver walks a run in
 //     ascending order, warm-starting each LP from its predecessor's optimal
 //     basis; every run starts cold. The runs depend on the instance alone,
 //     so each source's warm history — and hence its LP solution — is the
-//     same at every worker count, including the sequential walk;
-//  3. reduce — each worker folds its sources into a private qppPartial,
+//     same at every worker count. A worker's solver fetches each skeleton
+//     it needs once from the instance cache (built there on first use,
+//     under its lock) and keeps it, so the lock stays off the per-source
+//     path;
+//  2. reduce — each worker folds its sources into a private qppPartial,
 //     and the partials are merged deterministically at the end. A partial
 //     scores a candidate with the exact AvgMaxDelay only when the
 //     candidate's lower bound (delayBound) does not exceed its incumbent,
@@ -37,8 +34,8 @@ import (
 //
 // The reduction rule — best average max-delay wins, exact ties broken by
 // the smaller source id — is associative and commutative, so the merge
-// order cannot change the result and sequential and parallel solvers
-// return identical placements and bounds.
+// order cannot change the result and every worker count returns identical
+// placements and bounds.
 
 // sourceRunLen is the length of the warm-start runs on the LP route. Each
 // run pays one cold LP solve and is one unit of claimable parallel work,
@@ -131,11 +128,11 @@ func (p *qppPartial) merge(q *qppPartial) {
 }
 
 // solveQPP fans the per-source SSQPP solves over the given number of
-// workers (1 = inline, no goroutines) and reduces the outcomes. parent is
-// the span the fan-out runs under (nil for the sequential entry point):
-// each worker buffers its telemetry in an obs.Shard whose spans re-parent
-// under it, so recording is contention-free and the merged trace nests
-// worker pipelines exactly where they belong.
+// workers and reduces the outcomes. parent is the span the fan-out runs
+// under: each worker records through an obs.Shard whose spans re-parent
+// under it, so recording is contention-free and the merged trace nests each
+// worker's pipelines, skeleton builds and DP solves under its
+// placement.qpp_worker span.
 func solveQPP(ins *Instance, alpha float64, workers int, parent *obs.Span) (*QPPResult, error) {
 	n := ins.M.N()
 	if n == 0 {
@@ -143,57 +140,39 @@ func solveQPP(ins *Instance, alpha float64, workers int, parent *obs.Span) (*QPP
 	}
 	obs.Count("placement.qpp_sources", int64(n))
 
-	// One subset-mass table per sweep serves every candidate's delayBound.
-	var mass []float64
-	if ins.Sys.Universe() <= treedp.MaxUniverse {
-		mass = treedp.SubsetMass(ins.Sys, ins.Strat)
-	}
+	// One subset-mass table per sweep serves every candidate's delayBound
+	// and every exact-DP solve.
+	mass := treedp.SubsetMass(ins.Sys, ins.Strat)
 	runLen, runs := ins.sourceRuns()
+	partials := make([]qppPartial, workers)
+	shards := make([]*obs.Shard, workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range partials {
+		shards[w] = obs.NewShard(parent)
+		wg.Add(1)
+		go func(p *qppPartial, sh *obs.Shard) {
+			defer wg.Done()
+			wsp := sh.Start("placement.qpp_worker")
+			defer wsp.End()
+			p.init(mass)
+			// The solver owns re-costable skeleton clones, an LP workspace
+			// and a rounding-flow workspace, all reused across its sources.
+			sv := newSSQPPSolver(ins, sh.Rec())
+			sv.mass = mass
+			for r := int(next.Add(1)) - 1; r < runs; r = int(next.Add(1)) - 1 {
+				sv.solveRun(r, runLen, alpha, p)
+			}
+		}(&partials[w], shards[w])
+	}
+	wg.Wait()
+	// Merging partials and shards in worker order keeps both the result
+	// and the combined telemetry deterministic.
 	var total qppPartial
 	total.init(mass)
-	if workers <= 1 {
-		// Each solver owns re-costable skeleton clones, an LP workspace and
-		// a rounding-flow workspace, all reused across the sources it
-		// handles; only the skeleton builds are shared through the instance
-		// cache.
-		sv := newSSQPPSolver(ins)
-		for r := 0; r < runs; r++ {
-			sv.solveRun(r, runLen, alpha, &total)
-		}
-	} else {
-		if !ins.exactDPAuto() {
-			ins.prebuildSSQPPModels()
-		}
-		partials := make([]qppPartial, workers)
-		shards := make([]*obs.Shard, workers)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			shards[w] = obs.NewShard(parent)
-			go func(p *qppPartial, sh *obs.Shard) {
-				defer wg.Done()
-				p.init(mass)
-				wsp := sh.Start("placement.qpp_worker")
-				defer wsp.End()
-				sv := newSSQPPSolver(ins)
-				sv.setRec(sh.Rec())
-				for {
-					r := int(next.Add(1)) - 1
-					if r >= runs {
-						return
-					}
-					sv.solveRun(r, runLen, alpha, p)
-				}
-			}(&partials[w], shards[w])
-		}
-		wg.Wait()
-		// Merging partials and shards in worker order keeps both the result
-		// and the combined telemetry deterministic.
-		for w := range partials {
-			total.merge(&partials[w])
-			shards[w].Merge()
-		}
+	for w := range partials {
+		total.merge(&partials[w])
+		shards[w].Merge()
 	}
 
 	obs.Count("placement.delay_evals", total.evals)
@@ -233,9 +212,6 @@ func SolveQPPParallel(ins *Instance, alpha float64, workers int) (*QPPResult, er
 	if _, runs := ins.sourceRuns(); workers > runs {
 		workers = runs
 	}
-	// Each worker records through its own obs.Shard parented under this
-	// span, so the merged trace shows one placement.qpp_worker subtree per
-	// worker with the per-source pipelines correctly nested beneath it.
 	sp := obs.Start("placement.qpp_parallel")
 	defer sp.End()
 	obs.Gauge("placement.qpp_workers", float64(workers))

@@ -46,8 +46,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 // TestParallelDifferential pins the parallel solver to the sequential one
 // bit-for-bit across many randomized instances, every worker count, and
-// both telemetry states (the telemetry-on path takes the lock-free obs
-// counter/model-cache branches, so it gets its own column). The reduction
+// both telemetry states (with telemetry on, every worker records through
+// its own obs shard, so it gets its own column). The reduction
 // over per-source results is associative and tie-broken identically to the
 // sequential scan, and each source's warm LP history is fixed by its source
 // run, so equality here is exact (==), not within a tolerance — and so are
@@ -189,74 +189,119 @@ func TestParallelIsConcurrencySafe(t *testing.T) {
 }
 
 // TestParallelSpanAttribution verifies the shard-based telemetry of the
-// parallel solver: every worker's pipeline spans nest under its own
-// placement.qpp_worker span (itself under placement.qpp_parallel), and the
-// counters the workers buffer in their shards total exactly what a
-// sequential telemetry run records.
+// parallel solver on both routes: every worker's pipeline spans nest under
+// its own placement.qpp_worker span (itself under placement.qpp_parallel),
+// and the counters the workers buffer in their shards total exactly what a
+// sequential telemetry run records. Each solve gets a fresh instance, so
+// the parallel sweep builds its own LP skeletons.
 func TestParallelSpanAttribution(t *testing.T) {
-	rng := rand.New(rand.NewSource(127))
-	ins := randomInstance(t, rng)
-
-	seqC := obs.Enable(obs.NewCollector())
-	if _, err := placement.SolveQPP(ins, 2); err != nil {
-		obs.Disable()
-		t.Fatal(err)
-	}
-	obs.Disable()
-	seq := seqC.Snapshot()
-
-	parC := obs.Enable(obs.NewCollector())
-	defer obs.Disable()
 	const workers = 3
-	if _, err := placement.SolveQPPParallel(ins, 2, workers); err != nil {
+	for _, c := range []struct {
+		name     string
+		build    func() *placement.Instance
+		runLen   int    // sources per claimable run
+		pipeline string // the per-source span under a worker
+		inner    string // a span that must nest under each pipeline
+		counters []string
+		hists    []string
+	}{
+		{
+			name:     "LP route",
+			build:    func() *placement.Instance { return randomInstance(t, rand.New(rand.NewSource(127))) },
+			runLen:   4,
+			pipeline: "placement.ssqpp",
+			inner:    "ssqpp.lp/lp.solve",
+			counters: []string{
+				"lp.solves", "lp.pivots", "lp.phase1_iters", "lp.phase2_iters",
+				"gap.fractional_vars", "gap.slots",
+				"flow.augmentations", "placement.qpp_sources",
+			},
+			hists: []string{"lp.pivots_per_solve", "flow.augmentations_per_run"},
+		},
+		{
+			name:     "DP route",
+			build:    func() *placement.Instance { return dpTreeInstance(t, 70, 9) },
+			runLen:   1,
+			pipeline: "placement.ssqpp_exact",
+			inner:    "treedp.ssqpp",
+			counters: []string{"treedp.dp_ops", "treedp.dp_ranks", "placement.qpp_sources"},
+		},
+	} {
+		seqC := obs.Enable(obs.NewCollector())
+		_, err := placement.SolveQPP(c.build(), 2)
+		obs.Disable()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		seq := seqC.Snapshot()
+
+		ins := c.build()
+		parC := obs.Enable(obs.NewCollector())
+		_, err = placement.SolveQPPParallel(ins, 2, workers)
+		obs.Disable()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		par := parC.Snapshot()
+
+		paths := map[string]int{}
+		for _, p := range par.SpanPaths() {
+			paths[p]++
+		}
+		if paths["placement.qpp_parallel"] != 1 {
+			t.Fatalf("%s: qpp_parallel roots = %d, paths = %v", c.name, paths["placement.qpp_parallel"], paths)
+		}
+		// The pool is clamped to the number of source runs.
+		n := ins.M.N()
+		if want := min(workers, (n+c.runLen-1)/c.runLen); paths["placement.qpp_parallel/placement.qpp_worker"] != want {
+			t.Fatalf("%s: worker spans = %d, want %d", c.name, paths["placement.qpp_parallel/placement.qpp_worker"], want)
+		}
+		deep := "placement.qpp_parallel/placement.qpp_worker/" + c.pipeline
+		if got := paths[deep]; got != n {
+			t.Fatalf("%s: per-source pipelines under workers = %d, want %d (paths %v)", c.name, got, n, paths)
+		}
+		if paths[deep+"/"+c.inner] == 0 {
+			t.Fatalf("%s: %s spans did not nest under worker pipelines: %v", c.name, c.inner, paths)
+		}
+		// No span may escape the worker subtree: everything except the root
+		// parallel span must sit below a qpp_worker.
+		for p, k := range paths {
+			if p != "placement.qpp_parallel" && !strings.HasPrefix(p, "placement.qpp_parallel/placement.qpp_worker") {
+				t.Fatalf("%s: span path %q (×%d) escaped worker attribution", c.name, p, k)
+			}
+		}
+
+		// Worker-buffered counters must aggregate exactly like the
+		// sequential run's (the solves are identical work, merely sharded).
+		for _, name := range c.counters {
+			if got, want := par.Counter(name), seq.Counter(name); got != want || want == 0 {
+				t.Fatalf("%s: counter %s = %d parallel vs %d sequential", c.name, name, got, want)
+			}
+		}
+		// Histograms recorded through shards must merge to the sequential ones.
+		for _, name := range c.hists {
+			ph, sh := par.Histograms[name], seq.Histograms[name]
+			if ph.Count != sh.Count || ph.Sum != sh.Sum || ph.Min != sh.Min || ph.Max != sh.Max {
+				t.Fatalf("%s: histogram %s differs: %+v vs %+v", c.name, name, ph, sh)
+			}
+		}
+	}
+}
+
+// dpTreeInstance builds an instance on the exact-DP route: an n-node random
+// tree (n ≥ 64) with Majority(5,3) and capacities between 0.4 and 1.4.
+func dpTreeInstance(t *testing.T, n int, seed int64) *placement.Instance {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	m := mustMetric(t, graph.RandomTree(n, 0.2, 2.0, rng))
+	sys := quorum.Majority(5, 3)
+	caps := make([]float64, n)
+	for i := range caps {
+		caps[i] = 0.4 + rng.Float64()
+	}
+	ins, err := placement.NewInstance(m, caps, sys, quorum.Uniform(sys.NumQuorums()))
+	if err != nil {
 		t.Fatal(err)
 	}
-	par := parC.Snapshot()
-
-	paths := map[string]int{}
-	for _, p := range par.SpanPaths() {
-		paths[p]++
-	}
-	if paths["placement.qpp_parallel"] != 1 {
-		t.Fatalf("qpp_parallel roots = %d, paths = %v", paths["placement.qpp_parallel"], paths)
-	}
-	// The pool is clamped to the number of source runs: this LP-routed
-	// instance is cut into runs of 4.
-	n := ins.M.N()
-	if want := min(workers, (n+3)/4); paths["placement.qpp_parallel/placement.qpp_worker"] != want {
-		t.Fatalf("worker spans = %d, want %d", paths["placement.qpp_parallel/placement.qpp_worker"], want)
-	}
-	deep := "placement.qpp_parallel/placement.qpp_worker/placement.ssqpp"
-	if got := paths[deep]; got != n {
-		t.Fatalf("per-source pipelines under workers = %d, want %d (paths %v)", got, n, paths)
-	}
-	if paths[deep+"/ssqpp.lp/lp.solve"] == 0 {
-		t.Fatalf("lp.solve spans did not nest under worker pipelines: %v", paths)
-	}
-	// No span may escape the worker subtree: everything except the root
-	// parallel span must sit below a qpp_worker.
-	for p, c := range paths {
-		if p != "placement.qpp_parallel" && !strings.HasPrefix(p, "placement.qpp_parallel/placement.qpp_worker") {
-			t.Fatalf("span path %q (×%d) escaped worker attribution", p, c)
-		}
-	}
-
-	// Worker-buffered counters must aggregate exactly like the sequential
-	// run's (the solves are identical work, merely sharded).
-	for _, name := range []string{
-		"lp.solves", "lp.pivots", "lp.phase1_iters", "lp.phase2_iters",
-		"gap.fractional_vars", "gap.slots",
-		"flow.augmentations", "placement.qpp_sources",
-	} {
-		if got, want := par.Counter(name), seq.Counter(name); got != want {
-			t.Fatalf("counter %s = %d parallel vs %d sequential", name, got, want)
-		}
-	}
-	// Histograms recorded through shards must merge to the sequential ones.
-	for _, name := range []string{"lp.pivots_per_solve", "flow.augmentations_per_run"} {
-		ph, sh := par.Histograms[name], seq.Histograms[name]
-		if ph.Count != sh.Count || ph.Sum != sh.Sum || ph.Min != sh.Min || ph.Max != sh.Max {
-			t.Fatalf("histogram %s differs: %+v vs %+v", name, ph, sh)
-		}
-	}
+	return ins
 }

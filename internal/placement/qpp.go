@@ -40,12 +40,12 @@ type QPPResult struct {
 }
 
 // SolveQPP runs the Theorem 1.2 algorithm with filtering parameter α > 1.
-// It is solveQPP with a single inline worker: one ssqppSolver sweeps every
-// source, reusing the instance's LP skeletons and one workspace throughout.
+// It is solveQPP with one worker: one ssqppSolver sweeps every source,
+// reusing the instance's LP skeletons and one workspace throughout.
 func SolveQPP(ins *Instance, alpha float64) (*QPPResult, error) {
 	sp := obs.Start("placement.qpp")
 	defer sp.End()
-	best, err := solveQPP(ins, alpha, 1, nil)
+	best, err := solveQPP(ins, alpha, 1, sp)
 	if err != nil {
 		return nil, err
 	}

@@ -120,7 +120,7 @@ func uniformCapacities(n int, c float64) []float64 {
 // exhaustiveQPP is the QPP sweep with every source scored exactly: the
 // same source runs and warm starts as solveQPP, folded in ascending v0.
 func exhaustiveQPP(ins *Instance, alpha float64) (*QPPResult, error) {
-	sv := newSSQPPSolver(ins)
+	sv := newSSQPPSolver(ins, obs.Rec{})
 	runLen, runs := ins.sourceRuns()
 	var best *SSQPPResult
 	bestAvg, bestV0, relay, maxLP := 0.0, 0, math.Inf(1), 0.0

@@ -5,6 +5,8 @@ import (
 	"math"
 
 	"quorumplace/internal/gap"
+	"quorumplace/internal/obs"
+	"quorumplace/internal/treedp"
 )
 
 // This file implements the Single-Source Quorum Placement Problem
@@ -32,7 +34,7 @@ type SSQPPResult struct {
 // parameter α > 1. It returns an error if the LP relaxation is infeasible
 // (no capacity-respecting placement exists at all) or if α ≤ 1.
 func SolveSSQPP(ins *Instance, v0 int, alpha float64) (*SSQPPResult, error) {
-	return newSSQPPSolver(ins).solve(v0, alpha)
+	return newSSQPPSolver(ins, obs.Rec{}).solve(v0, alpha)
 }
 
 // solve runs the Theorem 3.7 pipeline for one source against the solver's
@@ -49,11 +51,15 @@ func (sv *ssqppSolver) solve(v0 int, alpha float64) (*SSQPPResult, error) {
 	// Exact fast path: large instances with small universes are solved to
 	// optimality by the treedp subset DP (see exactdp.go). The gate is a
 	// pure function of instance shape, so every source — and both the
-	// sequential and parallel QPP sweeps — take the same branch. On DP
-	// budget exhaustion or infeasibility the LP pipeline below runs as
-	// before and reports with its own diagnostics.
+	// sequential and parallel QPP sweeps — take the same branch. The gate
+	// keeps the DP within its ops budget, so only infeasibility falls
+	// through: the LP pipeline below then runs and reports with its own
+	// diagnostics.
 	if ins.exactDPAuto() {
-		if res, err := solveSSQPPExactDP(ins, v0, alpha, sv.rec); err == nil {
+		if sv.mass == nil {
+			sv.mass = treedp.SubsetMass(ins.Sys, ins.Strat)
+		}
+		if res, err := solveSSQPPExactDP(ins, v0, alpha, sv.rec, sv.mass); err == nil {
 			return res, nil
 		}
 	}
@@ -104,7 +110,7 @@ type ssqppFrac struct {
 // forbidden x_{tu} to zero. One-shot callers go through this wrapper;
 // multi-source callers hold an ssqppSolver to reuse the clone and workspace.
 func solveSSQPPLP(ins *Instance, v0 int) (*ssqppFrac, error) {
-	return newSSQPPSolver(ins).solveLP(v0)
+	return newSSQPPSolver(ins, obs.Rec{}).solveLP(v0)
 }
 
 // filterTol treats tiny fractional masses as zero during filtering.

@@ -183,7 +183,7 @@ func TestWarmRunsMatchColdLPOptimum(t *testing.T) {
 	for k, ins := range instances {
 		n := ins.M.N()
 		runLen, _ := ins.sourceRuns()
-		sv := newSSQPPSolver(ins)
+		sv := newSSQPPSolver(ins, obs.Rec{})
 		for lo := 0; lo < n; lo += runLen {
 			sv.ws.ResetWarm()
 			for v0 := lo; v0 < min(lo+runLen, n); v0++ {

@@ -2,11 +2,11 @@ package placement
 
 import (
 	"fmt"
-	"sort"
 
 	"quorumplace/internal/gap"
 	"quorumplace/internal/lp"
 	"quorumplace/internal/obs"
+	"quorumplace/internal/treedp"
 )
 
 // This file builds the SSQPP LP (9)–(14) as a reusable model skeleton in a
@@ -85,68 +85,32 @@ import (
 // ssqppModel is the source-independent SSQPP LP skeleton over C classes.
 type ssqppModel struct {
 	c, nU, nQ int
-	prob      *lp.Problem // skeleton; Clone before re-costing and solving
+	prob      *lp.Problem // skeleton; a solver's copy holds its own clone to re-cost and solve
 	xu        [][]int     // xu[c][u]: element u placed in the c-th distance class
 	xq        [][]int     // xq[c][q]: quorum q completed within the c closest classes
 	capRow    []int       // class c → constraint index of (12), -1 if no load terms
 }
 
-// ssqppModelFor returns the lazily built, cached LP skeleton for instances
-// whose source induces nClasses distance classes. Builds depend only on
-// construction-time state plus the class count, so the cache serves every
-// source and every solve. Cache hits are lock-free — one atomic pointer load
-// plus a read of an immutable map — so concurrent workers never serialize on
-// modelMu once the skeletons exist (SolveQPPParallel pre-builds them before
-// fanning out on the LP route); misses take the mutex and publish a
-// copy-on-write map.
-func (ins *Instance) ssqppModelFor(nClasses int) (*ssqppModel, error) {
-	if m := ins.models.Load(); m != nil {
-		if mdl, ok := (*m)[nClasses]; ok {
-			return mdl, nil
-		}
-	}
+// ssqppModelFor returns the cached LP skeleton for sources that induce
+// nClasses distance classes, building it under the instance's lock on a miss
+// (rec routes the build's span). Builds depend only on construction-time
+// state plus the class count, so the cache serves every source and solve.
+func (ins *Instance) ssqppModelFor(nClasses int, rec obs.Rec) (*ssqppModel, error) {
 	ins.modelMu.Lock()
 	defer ins.modelMu.Unlock()
-	old := ins.models.Load()
-	if old != nil {
-		if mdl, ok := (*old)[nClasses]; ok {
-			return mdl, nil
-		}
+	if mdl, ok := ins.models[nClasses]; ok {
+		return mdl, nil
 	}
-	mdl, err := buildSSQPPModel(ins, nClasses)
+	mdl, err := buildSSQPPModel(ins, nClasses, rec)
 	if err != nil {
 		return nil, err
 	}
-	next := make(map[int]*ssqppModel, 1)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[nClasses] = mdl
-	ins.models.Store(&next)
+	ins.models[nClasses] = mdl
 	return mdl, nil
 }
 
-// prebuildSSQPPModels warms the skeleton cache with every class count the
-// instance's sources induce, so a subsequent parallel fan-out only performs
-// lock-free cache reads. Build failures are deliberately ignored here: they
-// are deterministic per class count, so the per-source solves rediscover
-// them and the error semantics stay identical to the sequential path.
-func (ins *Instance) prebuildSSQPPModels() {
-	sv := newSSQPPSolver(ins)
-	built := make(map[int]bool)
-	for v0 := 0; v0 < ins.M.N(); v0++ {
-		_, _, _, nClasses := sv.sourceClasses(v0)
-		if !built[nClasses] {
-			built[nClasses] = true
-			_, _ = ins.ssqppModelFor(nClasses)
-		}
-	}
-}
-
-func buildSSQPPModel(ins *Instance, nClasses int) (*ssqppModel, error) {
-	sp := obs.Start("ssqpp.model_build")
+func buildSSQPPModel(ins *Instance, nClasses int, rec obs.Rec) (*ssqppModel, error) {
+	sp := rec.Start("ssqpp.model_build")
 	defer sp.End()
 	c := nClasses
 	nU := ins.Sys.Universe()
@@ -261,12 +225,13 @@ func buildSSQPPModel(ins *Instance, nClasses int) (*ssqppModel, error) {
 }
 
 // sourceClasses computes the node-rank order around source v0 — sorted by
-// (distance, capacity, id); the capacity tie-break maximizes class merging —
-// together with the per-rank distances and the rank→class grouping. Ranks
-// with identical (distance, capacity) share a class and are interchangeable
-// for the LP: same objective coefficient, same per-node capacity, same
-// constraint-(13) forbidden set. The returned slices alias the solver's
-// scratch and are valid until the next sourceClasses call on this solver.
+// (distance, capacity, id) with treedp.RankOrder, the exact DP's order; the
+// capacity tie-break maximizes class merging — together with the per-rank
+// distances and the rank→class grouping. Ranks with identical (distance,
+// capacity) share a class and are interchangeable for the LP: same
+// objective coefficient, same per-node capacity, same constraint-(13)
+// forbidden set. The returned slices alias the solver's scratch and are
+// valid until the next sourceClasses call on this solver.
 func (sv *ssqppSolver) sourceClasses(v0 int) (order []int, dist []float64, classOf []int, nClasses int) {
 	ins := sv.ins
 	n := ins.M.N()
@@ -277,19 +242,7 @@ func (sv *ssqppSolver) sourceClasses(v0 int) (order []int, dist []float64, class
 	}
 	order, dist, classOf = sv.order[:n], sv.dist[:n], sv.classOf[:n]
 	row := ins.M.Row(v0)
-	for v := 0; v < n; v++ {
-		order[v] = v
-	}
-	sort.Slice(order, func(i, j int) bool {
-		oi, oj := order[i], order[j]
-		if row[oi] != row[oj] {
-			return row[oi] < row[oj]
-		}
-		if ins.Cap[oi] != ins.Cap[oj] {
-			return ins.Cap[oi] < ins.Cap[oj]
-		}
-		return oi < oj
-	})
+	treedp.RankOrder(order, row, ins.Cap)
 	for t, v := range order {
 		dist[t] = row[v]
 	}
@@ -350,17 +303,18 @@ func expandClasses(xc [][]float64, classOf []int) [][]float64 {
 	return out
 }
 
-// ssqppSolver runs per-source SSQPP LP solves against the instance's shared
-// skeletons, owning private re-costable clones and an LP workspace. One
-// solver serves any number of sources sequentially; concurrent solves need
-// one solver each (skeleton builds are still shared through the instance
-// cache).
+// ssqppSolver runs per-source SSQPP solves against the instance's shared
+// skeletons, owning private re-costable clones, an LP workspace and a
+// rounding-flow workspace. One solver serves any number of sources
+// sequentially; concurrent solves need one solver each (skeleton builds are
+// still shared through the instance cache).
 type ssqppSolver struct {
-	ins   *Instance
-	probs map[int]*lp.Problem // class count → private clone
-	ws    *lp.Workspace
-	gws   *gap.Workspace // network scratch for the rounding flow
-	rec   obs.Rec        // telemetry route: ambient by default, a worker shard in the parallel solver
+	ins    *Instance
+	models map[int]*ssqppModel // class count → own copy of the skeleton, prob cloned
+	mass   []float64           // subset-mass table of the exact DP; built on first use when nil
+	ws     *lp.Workspace
+	gws    *gap.Workspace // network scratch for the rounding flow
+	rec    obs.Rec        // telemetry route: ambient, or a worker shard in the QPP sweep
 
 	// Per-solve scratch reused across the sources this solver handles; the
 	// slices returned by sourceClasses (and embedded into ssqppFrac) alias it.
@@ -372,23 +326,20 @@ type ssqppSolver struct {
 	classSize []int
 }
 
-func newSSQPPSolver(ins *Instance) *ssqppSolver {
-	return &ssqppSolver{
-		ins:   ins,
-		probs: make(map[int]*lp.Problem),
-		ws:    lp.NewWorkspace(),
-		gws:   gap.NewWorkspace(),
+// newSSQPPSolver returns a solver that records through rec, as do both of
+// its workspaces: the zero Rec for one-shot callers, a worker's shard
+// recorder inside the QPP sweep, which keeps every span and metric of the
+// per-source pipeline buffered locally.
+func newSSQPPSolver(ins *Instance, rec obs.Rec) *ssqppSolver {
+	sv := &ssqppSolver{
+		ins:    ins,
+		models: make(map[int]*ssqppModel),
+		ws:     lp.NewWorkspace(),
+		gws:    gap.NewWorkspace(),
+		rec:    rec,
 	}
-}
-
-// setRec points the solver and both of its workspaces at a telemetry route.
-// Parallel workers install their shard's recorder so every span and metric
-// of the per-source pipeline is buffered locally instead of contending on
-// the shared collector.
-func (sv *ssqppSolver) setRec(r obs.Rec) {
-	sv.rec = r
-	sv.ws.Rec = r
-	sv.gws.Rec = r
+	sv.ws.Rec, sv.gws.Rec = rec, rec
+	return sv
 }
 
 // solveLP solves the SSQPP relaxation for source v0 against the (cached)
@@ -420,15 +371,18 @@ func (sv *ssqppSolver) solveLP(v0 int) (*ssqppFrac, error) {
 		classSize[c]++
 	}
 
-	mdl, err := ins.ssqppModelFor(nClasses)
-	if err != nil {
-		return nil, err
-	}
-	prob, ok := sv.probs[nClasses]
+	mdl, ok := sv.models[nClasses]
 	if !ok {
-		prob = mdl.prob.Clone()
-		sv.probs[nClasses] = prob
+		shared, err := ins.ssqppModelFor(nClasses, sv.rec)
+		if err != nil {
+			return nil, err
+		}
+		own := *shared
+		own.prob = shared.prob.Clone()
+		mdl = &own
+		sv.models[nClasses] = mdl
 	}
+	prob := mdl.prob
 	mdl.configure(prob, ins, classDist, classCap, classSize)
 	sol, _, err := prob.SolveHot(sv.ws)
 	if err != nil {

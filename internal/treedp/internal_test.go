@@ -2,11 +2,13 @@ package treedp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"quorumplace/internal/graph"
@@ -30,15 +32,25 @@ func TestSSQPPBudgetExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := solveSSQPP(dist, caps, loads, sys, strat, 10); !errors.Is(err, ErrBudget) {
+	if _, _, err := solveSSQPP(obs.Rec{}, dist, caps, loads, SubsetMass(sys, strat), 10); !errors.Is(err, ErrBudget) {
 		t.Fatalf("got %v, want ErrBudget", err)
 	}
 }
 
+// chain is a traceback node of the oracle below: each improvement freezes
+// its own history, so a state's chain stays consistent with its cost even
+// though predecessor states keep improving afterwards.
+type chain struct {
+	prev   *chain
+	node   int32
+	subset uint32
+}
+
 // stateMajorSSQPP is the DP's former enumeration, kept as an oracle: each
 // rank walks the finite states S in ascending order and tests the load of
-// every subset of S's complement. It returns ok = false when no placement
-// fits.
+// every subset of S's complement, and the placement is traced back through
+// per-state chains instead of the DP's step log. It returns ok = false when
+// no placement fits.
 func stateMajorSSQPP(dist, caps, loads []float64, sys *quorum.System, strat quorum.Strategy) ([]int, float64, bool) {
 	n, nU := len(dist), sys.Universe()
 	size := 1 << nU
@@ -164,15 +176,27 @@ func randomDPInstance(t *testing.T, rng *rand.Rand) ([]float64, []float64, []flo
 
 // The subset-major relaxation must return the state-major scan's placement
 // and objective bit for bit, since each target meets its candidates in the
-// same order, and count at most 3^U pairs per rank.
+// same order, and count at most 3^U pairs per rank. The oracle traces its
+// placement back through chains, so the equal placements also pin the DP's
+// step-log traceback. Trial −1 is a fixed instance whose last rank improves
+// both the full state and the state its final step extends, so the walk
+// must skip that state's own step at the same rank; random draws rarely
+// have this shape (the first came after about 1.6·10^5 of them).
 func TestSubsetMajorMatchesStateMajor(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	feasible := 0
-	for trial := 0; trial < 400; trial++ {
-		dist, caps, loads, sys, strat := randomDPInstance(t, rng)
+	for trial := -1; trial < 400; trial++ {
+		var dist, caps, loads []float64
+		var sys *quorum.System
+		var strat quorum.Strategy
+		if trial < 0 {
+			dist, caps, loads, sys, strat = twoStepsOneRank(t)
+		} else {
+			dist, caps, loads, sys, strat = randomDPInstance(t, rng)
+		}
 		wantF, wantObj, ok := stateMajorSSQPP(dist, caps, loads, sys, strat)
 		c := obs.Enable(nil)
-		f, obj, err := SolveSSQPP(dist, caps, loads, sys, strat)
+		f, obj, err := SolveSSQPP(obs.Rec{}, dist, caps, loads, SubsetMass(sys, strat))
 		obs.Disable()
 		if !ok {
 			if !errors.Is(err, ErrInfeasible) {
@@ -180,7 +204,9 @@ func TestSubsetMajorMatchesStateMajor(t *testing.T) {
 			}
 			continue
 		}
-		feasible++
+		if trial >= 0 {
+			feasible++
+		}
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -188,14 +214,32 @@ func TestSubsetMajorMatchesStateMajor(t *testing.T) {
 			t.Fatalf("trial %d: got f=%v Δ=%v, state-major scan f=%v Δ=%v", trial, f, obj, wantF, wantObj)
 		}
 		snap := c.Snapshot()
-		ops, ranks := snap.Counter("treedp.dp_ops"), snap.Gauges["treedp.dp_ranks"]
-		if limit := ranks * math.Pow(3, float64(sys.Universe())); float64(ops) > limit {
+		ops, ranks := snap.Counter("treedp.dp_ops"), snap.Counter("treedp.dp_ranks")
+		if limit := float64(ranks) * math.Pow(3, float64(sys.Universe())); float64(ops) > limit {
 			t.Fatalf("trial %d: %d pairs over %v ranks, past ranks·3^U = %v", trial, ops, ranks, limit)
 		}
 	}
 	if feasible < 100 || feasible > 390 {
 		t.Fatalf("%d of 400 instances feasible; the draw no longer mixes feasible and infeasible ones", feasible)
 	}
+}
+
+// twoStepsOneRank is a draw of randomDPInstance (seed 394, trial 36).
+func twoStepsOneRank(t *testing.T) ([]float64, []float64, []float64, *quorum.System, quorum.Strategy) {
+	t.Helper()
+	sys, err := quorum.NewSystem("two-steps", 5, [][]int{{1, 2, 4}, {0, 1, 2, 3, 4}, {0, 1, 2}, {0, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat, err := quorum.NewStrategy([]float64{0.48395020528200716, 0.4822568482880572, 0.02813270420729529, 0.005660242222640359})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads, err := sys.Loads(strat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []float64{2, 0, 0, 1, 0}, []float64{1.5, 0, 1, 0.5, 1.5}, loads, sys, strat
 }
 
 // When one node holds the whole universe, the first rank relaxes each
@@ -214,7 +258,7 @@ func TestAllFitOps(t *testing.T) {
 		dist[v], caps[v] = rng.Float64(), 10
 	}
 	c := obs.Enable(nil)
-	_, _, err = SolveSSQPP(dist, caps, loads, sys, strat)
+	_, _, err = SolveSSQPP(obs.Rec{}, dist, caps, loads, SubsetMass(sys, strat))
 	obs.Disable()
 	if err != nil {
 		t.Fatal(err)
@@ -230,27 +274,71 @@ func TestSSQPPInfeasible(t *testing.T) {
 	loads, _ := sys.Loads(strat)
 	dist := []float64{0, 1, 2}
 	caps := []float64{0, 0, 0} // every element has positive load, no node fits it
-	if _, _, err := SolveSSQPP(dist, caps, loads, sys, strat); !errors.Is(err, ErrInfeasible) {
+	if _, _, err := SolveSSQPP(obs.Rec{}, dist, caps, loads, SubsetMass(sys, strat)); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("got %v, want ErrInfeasible", err)
 	}
 }
 
+// Both entry points refuse a universe past MaxUniverse before touching
+// anything of size 2^U: SolveSSQPP before reading its mass table (there is
+// none here), SolveQPP before building one. SolveSSQPP also refuses a mass
+// table of the wrong size.
 func TestSSQPPUniverseLimit(t *testing.T) {
-	qs := make([][]int, MaxUniverse+1)
-	for i := range qs {
-		qs[i] = make([]int, MaxUniverse+1)
-		for j := range qs[i] {
-			qs[i][j] = j
-		}
+	all := make([]int, MaxUniverse+1)
+	for j := range all {
+		all[j] = j
 	}
-	sys, err := quorum.NewSystem("big", MaxUniverse+1, qs[:1])
+	sys, err := quorum.NewSystem("big", MaxUniverse+1, [][]int{all})
 	if err != nil {
 		t.Fatal(err)
 	}
 	strat := quorum.Uniform(1)
 	loads, _ := sys.Loads(strat)
-	if _, _, err := SolveSSQPP([]float64{0}, []float64{100}, loads, sys, strat); err == nil {
-		t.Fatal("universe above MaxUniverse must be rejected")
+	want := fmt.Sprintf("universe %d exceeds DP limit %d", MaxUniverse+1, MaxUniverse)
+	if _, _, err := SolveSSQPP(obs.Rec{}, []float64{0}, []float64{100}, loads, nil); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("SolveSSQPP: got %v, want %q", err, want)
+	}
+	g := graph.Path(3)
+	if _, err := SolveQPP(g, []float64{100, 100, 100}, sys, strat, nil); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("SolveQPP: got %v, want %q", err, want)
+	}
+
+	small := quorum.Majority(3, 2)
+	st := quorum.Uniform(small.NumQuorums())
+	sl, _ := small.Loads(st)
+	mass := SubsetMass(small, st)
+	if _, _, err := SolveSSQPP(obs.Rec{}, []float64{0}, []float64{100}, sl, mass[:len(mass)-1]); err == nil {
+		t.Fatal("a subset-mass table of the wrong size must be rejected")
+	}
+}
+
+// A negative, NaN or infinite capacity is an error at both entry points,
+// with placement.NewInstance's wording; NaN and +Inf must not pass for
+// unlimited capacity, which would draw every element to node 3.
+func TestBadCapacitiesRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	g := graph.RandomTree(10, 0.2, 2.0, rng)
+	sys := quorum.Majority(5, 3)
+	strat := quorum.Uniform(sys.NumQuorums())
+	loads, err := sys.Loads(strat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := make([]float64, g.N())
+	distsFrom(g, 0, dist, nil)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
+		caps := make([]float64, g.N())
+		for v := range caps {
+			caps[v] = 0.7
+		}
+		caps[3] = bad
+		want := fmt.Sprintf("capacity of node 3 is %v", bad)
+		if f, _, err := SolveSSQPP(obs.Rec{}, dist, caps, loads, SubsetMass(sys, strat)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("SolveSSQPP with caps[3] = %v: got f=%v err=%v, want %q", bad, f, err, want)
+		}
+		if res, err := SolveQPP(g, caps, sys, strat, nil); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("SolveQPP with caps[3] = %v: got %+v err=%v, want %q", bad, res, err, want)
+		}
 	}
 }
 

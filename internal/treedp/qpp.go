@@ -35,7 +35,8 @@ type Result struct {
 // O(n) tree distance vector, solves SSQPP exactly with the subset DP, and
 // evaluates the true rate-weighted average max-delay of the resulting
 // placement through per-quorum diametral pairs (evalAvgMaxDelay). rates may
-// be nil for uniform clients.
+// be nil for uniform clients. Capacities must be finite and non-negative, as
+// placement.NewInstance requires, and the universe at most MaxUniverse.
 func SolveQPP(g *graph.Graph, caps []float64, sys *quorum.System, strat quorum.Strategy, rates []float64) (*Result, error) {
 	n := g.N()
 	if !g.IsTree() {
@@ -43,6 +44,12 @@ func SolveQPP(g *graph.Graph, caps []float64, sys *quorum.System, strat quorum.S
 	}
 	if len(caps) != n {
 		return nil, fmt.Errorf("treedp: %d capacities for %d nodes", len(caps), n)
+	}
+	if err := checkCaps(caps); err != nil {
+		return nil, err
+	}
+	if nU := sys.Universe(); nU > MaxUniverse {
+		return nil, fmt.Errorf("treedp: universe %d exceeds DP limit %d", nU, MaxUniverse)
 	}
 	if rates != nil {
 		if len(rates) != n {
@@ -69,13 +76,14 @@ func SolveQPP(g *graph.Graph, caps []float64, sys *quorum.System, strat quorum.S
 
 	cands := candidateSources(g, rates)
 	obs.Gauge("treedp.candidates", float64(len(cands)))
+	mass := SubsetMass(sys, strat)
 	dist := make([]float64, n)
 	var stack []int
 	var best *Result
 	var firstErr error
 	for _, v0 := range cands {
 		stack = distsFrom(g, v0, dist, stack)
-		f, d0, err := SolveSSQPP(dist, caps, loads, sys, strat)
+		f, d0, err := SolveSSQPP(obs.Rec{}, dist, caps, loads, mass)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("treedp: source %d: %w", v0, err)

@@ -8,6 +8,7 @@ import (
 	"quorumplace/internal/check"
 	"quorumplace/internal/exact"
 	"quorumplace/internal/graph"
+	"quorumplace/internal/obs"
 	"quorumplace/internal/placement"
 	"quorumplace/internal/quorum"
 	"quorumplace/internal/treedp"
@@ -26,9 +27,10 @@ func TestSSQPPMatchesExactOracle(t *testing.T) {
 		ci := check.Gen(seed)
 		ins := ci.Instance
 		loads := ins.Loads()
+		mass := treedp.SubsetMass(ins.Sys, ins.Strat)
 		for v0 := 0; v0 < ins.M.N(); v0 += 3 {
 			_, want, err := exact.SolveSSQPP(ins, v0)
-			f, got, dpErr := treedp.SolveSSQPP(ins.M.Row(v0), ins.Cap, loads, ins.Sys, ins.Strat)
+			f, got, dpErr := treedp.SolveSSQPP(obs.Rec{}, ins.M.Row(v0), ins.Cap, loads, mass)
 			if err != nil {
 				if dpErr == nil {
 					t.Fatalf("%s v0=%d: oracle failed (%v) but DP succeeded", ci.Desc, v0, err)
